@@ -31,6 +31,7 @@ single-shard sharded backend **byte-identical** to ``backend="serial"``.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -124,6 +125,30 @@ class _ProcessDriverUnavailable(Exception):
     that died or hung mid-replay — those are real errors the liveness guard
     must surface, not silently re-run inline.
     """
+
+
+def _check_hook(hook, driver: str) -> None:
+    """Reject, before any worker starts, an observer the shards cannot carry.
+
+    Every shard observes through ``hook.clone_empty()`` and the coordinator
+    folds the clones back with ``hook.merge``; the process driver also
+    pickles each clone back from its worker at the last window.
+    """
+    if hook is None:
+        return
+    if not (hasattr(hook, "clone_empty") and hasattr(hook, "merge")):
+        raise ConfigurationError(
+            "the sharded backend needs an on_request_end hook with "
+            "clone_empty()/merge(other) (per-shard observation, deterministic merge)"
+        )
+    if driver == "process":
+        try:
+            pickle.dumps(hook.clone_empty())
+        except (pickle.PicklingError, TypeError, AttributeError) as error:
+            raise ConfigurationError(
+                "the process driver pickles each shard's hook back to the coordinator, "
+                f"but {type(hook).__qualname__}.clone_empty() does not pickle: {error}"
+            ) from error
 
 
 def _build_shard(payload: Dict[str, object]) -> ShardSimulator:
@@ -329,13 +354,12 @@ class ShardedSimulator:
             return self._replay_serial(trace, started)
         if num_shards == 1:
             return self._replay_serial(trace, started)
-        self._replayed = True
+        driver = self.sharded.driver
+        if driver == "auto":
+            driver = "process" if available_cpus() > 1 else "inline"
         hook = self.on_request_end
-        if hook is not None and not (hasattr(hook, "clone_empty") and hasattr(hook, "merge")):
-            raise ConfigurationError(
-                "the sharded backend needs an on_request_end hook with "
-                "clone_empty()/merge(other) (per-shard observation, deterministic merge)"
-            )
+        _check_hook(hook, driver)
+        self._replayed = True
         columns = self._extract_columns(trace)
         sorted_times, user_codes, user_labels, domain_codes, domain_names = columns
         self._issued = len(sorted_times)
@@ -394,9 +418,6 @@ class ShardedSimulator:
                 )
             )
         window = self.window_s()
-        driver = self.sharded.driver
-        if driver == "auto":
-            driver = "process" if available_cpus() > 1 else "inline"
         if driver == "process":
             try:
                 results = self._drive_process(payloads, window)

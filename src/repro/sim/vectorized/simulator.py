@@ -37,13 +37,28 @@ divergence marks the signature bad and silently pins it to the serial path.
 Ineligible shapes (resilience policies, cell fail/recover timelines, object
 traces, unseeded runs, warm simulators) fall back to the serial path
 entirely, so results are *always* exactly the serial engine's.
+
+The shadow replay runs in one long-lived helper process (spawned at the first
+validation of each process) while the serial replay runs in the caller, so a
+fresh signature costs about max(serial, kernel) wall clock instead of their
+sum.  On a one-core host, or where no helper process can be started or the
+helper breaks, the shadow runs in-process as before; the verdict is the same
+either way and stays in this process.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import heapq
+import multiprocessing
+import os
+import pickle
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.util import Finalize
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,6 +79,7 @@ from repro.sim.request import (
 )
 from repro.sim.simulator import MultiCellSimulator, SimulatorConfig
 from repro.exceptions import SimulationError
+from repro.runtime.parallel import available_cpus
 from repro.utils.rng import SeedLike
 from repro.workloads.traces import RequestTrace
 
@@ -271,7 +287,10 @@ class VectorizedSimulator:
             digest.update(b"\x00")
 
         feed("vectorized-kernel-v1")
-        feed(repr(self._seed))
+        seed = self._seed
+        # A Generator's repr names its address; its stream state is what the
+        # replay depends on.
+        feed(repr(seed.bit_generator.state if isinstance(seed, np.random.Generator) else seed))
         feed(repr(self._inner.config))
         for cell_config in self._cell_configs:
             feed(repr(cell_config))
@@ -292,21 +311,30 @@ class VectorizedSimulator:
         observer hook, and its report is what the caller receives — so a
         validation replay is externally indistinguishable from a plain serial
         one.  The kernel runs hook-less on a shadow deployment built from the
-        same constructor arguments.
+        same constructor arguments, in the helper process while the serial
+        replay runs, or in-process first when there is no helper.
         """
-        timeline = list(self._timeline)
-        fast_report: Optional[SimulationReport] = None
-        try:
-            shadow = MultiCellSimulator(
-                self._cell_configs,
-                self._catalogue_arg,
-                config=self._config_arg,
-                seed=self._seed,
-            )
-            fast_report = self._replay_fast(shadow, trace, hook=None, timeline=timeline)
-        except Exception:
-            fast_report = None
-        serial_report = self._inner.replay(trace, run=True)
+        # The shadow gets its own copy of a Generator seed: sharing it would
+        # let one replay advance the stream the other reads.
+        job = (
+            self._cell_configs,
+            self._catalogue_arg,
+            self._config_arg,
+            copy.deepcopy(self._seed),
+            trace,
+            list(self._timeline),
+        )
+        collect = _submit_shadow(job)
+        if collect is None:
+            fast_report = _shadow_or_none(job)
+            serial_report = self._inner.replay(trace, run=True)
+        else:
+            try:
+                serial_report = self._inner.replay(trace, run=True)
+            finally:
+                # Read the helper's report even if the serial replay raised,
+                # so no job outlives this call.
+                fast_report = collect()
         self._timeline.clear()
         verdict = fast_report is not None and self._reports_equal(serial_report, fast_report)
         VectorizedSimulator._validated[signature] = verdict
@@ -491,8 +519,8 @@ class VectorizedSimulator:
     # ------------------------------------------------------------------ #
     # The kernel
     # ------------------------------------------------------------------ #
+    @staticmethod
     def _replay_fast(
-        self,
         sim: MultiCellSimulator,
         trace: RequestTrace,
         hook: Optional[Callable[[Request], None]],
@@ -553,7 +581,7 @@ class VectorizedSimulator:
         keyed_schedule.sort(key=lambda item: (item[0], item[1]))
         probability_schedule = [(item[0], item[2]) for item in keyed_schedule]
 
-        cell_of_arrival, moved_flags = self._mobility_prepass(
+        cell_of_arrival, moved_flags = VectorizedSimulator._mobility_prepass(
             sim, sorted_times, users, probability_schedule
         )
 
@@ -948,3 +976,128 @@ class VectorizedSimulator:
         sim._completed_total += completed_total
         sim._last_completion = last_completion
         return sim.report(wall_clock_s=time.perf_counter() - started)
+
+
+# ---------------------------------------------------------------------- #
+# Cross-check helper process
+# ---------------------------------------------------------------------- #
+#: ``(pid, pool)`` for the process that started the helper; the pool is
+#: ``None`` once the helper could not start or broke, which leaves that
+#: process on the in-process shadow for good.  Keyed to the pid so a forked
+#: child (a ``ParallelRunner`` worker) starts its own helper rather than
+#: submitting to its parent's.
+_helper: Optional[Tuple[int, Optional[ProcessPoolExecutor]]] = None
+
+
+def _shadow_replay(job: tuple) -> SimulationReport:
+    """The shadow half of a cross-check, in the helper or in-process.
+
+    ``job`` holds the constructor arguments, the trace and the timeline; the
+    kernel replays hook-less on a deployment built from them.
+    """
+    cells, catalogue, config, seed, trace, timeline = job
+    shadow = MultiCellSimulator(cells, catalogue, config=config, seed=seed)
+    return VectorizedSimulator._replay_fast(shadow, trace, hook=None, timeline=timeline)
+
+
+def _shadow_or_none(job: tuple) -> Optional[SimulationReport]:
+    """The in-process shadow's report, or ``None`` when it raised (a failed check)."""
+    try:
+        return _shadow_replay(job)
+    except Exception:
+        return None
+
+
+class _Pickled:
+    """A job pickled up front that unpickles as the job itself.
+
+    The pool's feeder thread then only copies bytes, and the helper holds the
+    rebuilt job, not its bytes, while the replay runs.
+    """
+
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: bytes) -> None:
+        self.payload = payload
+
+    def __reduce__(self):
+        return pickle.loads, (self.payload,)
+
+
+def _submit_shadow(job: tuple) -> Optional[Callable[[], Optional[SimulationReport]]]:
+    """Start the shadow replay of ``job`` in the helper.
+
+    Returns the call that waits for its report, or ``None`` when the shadow
+    must run in-process: on a one-core host (the rule the sharded backend's
+    ``auto`` driver uses), when the helper cannot be started — the same
+    degradation as :class:`~repro.runtime.parallel.ParallelRunner` — or when
+    the job does not pickle.  The job is pickled here, before the caller's
+    serial replay starts mutating state.
+    """
+    if available_cpus() == 1:
+        return None
+    pool = _helper_pool()
+    if pool is None:
+        return None
+    try:
+        pickled = _Pickled(pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return None  # e.g. a locally defined CellConfig subclass
+    try:
+        future = pool.submit(_shadow_replay, pickled)
+    except (OSError, BrokenProcessPool):
+        _stop_helper(wait=False)
+        return None
+
+    def collect() -> Optional[SimulationReport]:
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            _stop_helper(wait=False)
+            return _shadow_or_none(pickle.loads(pickled.payload))
+        except Exception:
+            return None
+
+    return collect
+
+
+def _helper_pool() -> Optional[ProcessPoolExecutor]:
+    """This process's helper pool, created on first use (``None``: none)."""
+    global _helper
+    pid = os.getpid()
+    if _helper is None or _helper[0] != pid:
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_exit_with_owner,
+            )
+        except (ImportError, OSError, PermissionError):
+            pool = None
+        _helper = (pid, pool)
+        if pool is not None:
+            # A forked worker's exit joins its child processes, so the helper
+            # must be stopped first, and before the pool queues' own
+            # finalizers (priority 10) close the queue the stop travels on.
+            Finalize(None, _stop_helper, exitpriority=20)
+    return _helper[1]
+
+
+def _stop_helper(wait: bool = True) -> None:
+    """Shut this process's helper down; its later shadows run in-process."""
+    global _helper
+    if _helper is not None and _helper[0] == os.getpid() and _helper[1] is not None:
+        _helper[1].shutdown(wait=wait)
+    _helper = (os.getpid(), None)
+
+
+def _exit_with_owner() -> None:
+    """Helper initializer: exit when the owning process dies, never linger."""
+    owner = multiprocessing.parent_process()
+    if owner is not None:
+        threading.Thread(target=_exit_after, args=(owner,), daemon=True).start()
+
+
+def _exit_after(owner) -> None:
+    owner.join()
+    os._exit(0)

@@ -22,9 +22,26 @@ from repro.sim import (
     resolve_backend_name,
 )
 from repro.sim.backend import _REGISTRY
+from repro.sim.sharded import ShardedConfig
 from repro.workloads import ArrivalTraceGenerator
 
 DOMAINS = [f"domain_{index}" for index in range(6)]
+
+
+class CountingHook:
+    """Counts completions; module-level so the process driver can pickle it."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __call__(self, request):
+        self.count += 1
+
+    def clone_empty(self):
+        return CountingHook()
+
+    def merge(self, other):
+        self.count += other.count
 
 
 def cell_configs(count=4):
@@ -120,8 +137,6 @@ class TestFactories:
         assert backend.sharded.num_shards == 2
 
     def test_sharded_factory_rejects_shards_and_config_together(self):
-        from repro.sim.sharded import ShardedConfig
-
         with pytest.raises(ConfigurationError, match="not both"):
             create_backend(
                 "sharded",
@@ -142,24 +157,48 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("name,shards", [("serial", None), ("sharded", 2)])
     def test_replay_returns_a_report_and_fires_the_hook(self, name, shards):
         backend = make_backend(name, shards=shards)
-        seen = []
-
-        class Hook:
-            def __call__(self, request):
-                seen.append(request.request_id)
-
-            def clone_empty(self):
-                return Hook()
-
-            def merge(self, other):
-                pass
-
-        hook = Hook()
+        hook = CountingHook()
         backend.on_request_end = hook
         trace = ArrivalTraceGenerator(DOMAINS, num_users=40, rate=500.0, seed=3).generate(400)
         report = backend.replay(trace)
         assert report.completed + report.dropped == 400
-        assert len(seen) == 400
+        assert hook.count == 400
+
+    @staticmethod
+    def process_driver_backend():
+        return create_backend(
+            "sharded",
+            cell_configs(),
+            default_catalogue(DOMAINS, seed=0),
+            seed=0,
+            sharded_config=ShardedConfig(num_shards=2, driver="process"),
+        )
+
+    def test_process_driver_merges_a_picklable_hook(self):
+        """The process driver on any host: worker hooks come back and merge."""
+        backend = self.process_driver_backend()
+        hook = CountingHook()
+        backend.on_request_end = hook
+        trace = ArrivalTraceGenerator(DOMAINS, num_users=40, rate=500.0, seed=3).generate(400)
+        report = backend.replay(trace)
+        assert report.completed + report.dropped == 400
+        assert hook.count == 400
+
+    def test_process_driver_rejects_an_unpicklable_hook_before_forking(self, monkeypatch):
+        backend = self.process_driver_backend()
+
+        class LocalHook(CountingHook):
+            def clone_empty(self):
+                return LocalHook()
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a shard worker was started")
+
+        monkeypatch.setattr(ShardedSimulator, "_drive_process", no_workers)
+        backend.on_request_end = LocalHook()
+        trace = ArrivalTraceGenerator(DOMAINS, num_users=40, rate=500.0, seed=3).generate(400)
+        with pytest.raises(ConfigurationError, match="does not pickle"):
+            backend.replay(trace)
 
     @pytest.mark.parametrize("name,shards", [("serial", None), ("sharded", 2)])
     def test_alive_cells_tracks_scheduled_failures(self, name, shards):

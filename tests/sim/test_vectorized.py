@@ -10,18 +10,36 @@ cases target exactly the places where cohort batching could diverge from
 the serial heap: same-timestamp arrivals spanning multiple cells, fault
 barriers landing mid-cohort, zero-length cohorts around phase edges, and
 ``retain_requests=False`` replays.
+
+The cross-check tests at the end run with ``cross_check=True`` on both of its
+paths: the shadow kernel replay in the spawned helper process, and the
+in-process shadow used on one-core hosts or when no helper can be started.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+import repro.sim.vectorized.simulator as vectorized_module
+from repro.scenarios.catalog import catalog
+from repro.scenarios.runner import run_catalog
 from repro.sim.batching import BatchingConfig
-from repro.sim.metrics import LatencyRecorder
+from repro.sim.metrics import LatencyRecorder, SimulationReport
 from repro.sim.multicell import CellConfig, MobilityConfig, default_catalogue
 from repro.sim.simulator import MultiCellSimulator, SimulatorConfig
 from repro.sim.vectorized import VectorizedSimulator
+from repro.workloads import ArrivalTraceGenerator
 from repro.workloads.traces import RequestTrace
 
 DOMAINS = [f"domain_{index}" for index in range(6)]
@@ -220,36 +238,237 @@ def test_unsupported_timeline_falls_back_to_serial():
         assert getattr(vectorized_report, field) == getattr(serial_report, field), field
 
 
-def test_divergence_triggers_silent_serial_fallback(monkeypatch):
-    """cross_check=True quarantines a signature whose kernel run diverges."""
+# ---------------------------------------------------------------------- #
+# Cross-check (cross_check=True), on the helper and the in-process paths
+# ---------------------------------------------------------------------- #
+# Substitutes for ``_shadow_replay``: module-level, so the spawned helper can
+# unpickle them by reference and runs them itself.
+shadow_replay = vectorized_module._shadow_replay
+
+
+def failing_shadow_replay(job):
+    raise RuntimeError("injected kernel fault")
+
+
+def skewed_shadow_replay(job):
+    report = shadow_replay(job)
+    return dataclasses.replace(report, completed=report.completed + 1)
+
+
+def dying_shadow_replay(job):
+    if multiprocessing.parent_process() is not None:  # inside the helper
+        os._exit(1)
+    return shadow_replay(job)
+
+
+@pytest.fixture
+def verdicts():
+    VectorizedSimulator._validated.clear()
+    yield VectorizedSimulator._validated
     VectorizedSimulator._validated.clear()
 
-    def broken(self, sim, trace, hook, timeline):
-        raise RuntimeError("injected kernel fault")
 
-    monkeypatch.setattr(VectorizedSimulator, "_replay_fast", broken)
+@pytest.fixture(params=["helper", "in-process"])
+def cross_check_path(request, monkeypatch, verdicts):
+    """Pin the cross-check path regardless of the host's core count."""
+    cpus = 2 if request.param == "helper" else 1
+    monkeypatch.setattr(vectorized_module, "available_cpus", lambda: cpus)
+    return request.param
+
+
+@pytest.fixture
+def helper_path(monkeypatch, verdicts):
+    monkeypatch.setattr(vectorized_module, "available_cpus", lambda: 2)
+
+
+def assert_same_report(report, reference):
+    assert VectorizedSimulator._reports_equal(report, reference)
+
+
+def assert_live_helper():
+    pid, pool = vectorized_module._helper
+    assert pid == os.getpid() and pool is not None
+
+
+def test_divergence_triggers_silent_serial_fallback(cross_check_path, monkeypatch, verdicts):
+    """cross_check=True quarantines a signature whose kernel run diverges."""
+    if cross_check_path == "helper":
+        monkeypatch.setattr(vectorized_module, "_shadow_replay", failing_shadow_replay)
+    else:
+        def broken(sim, trace, hook, timeline):
+            raise RuntimeError("injected kernel fault")
+
+        monkeypatch.setattr(VectorizedSimulator, "_replay_fast", staticmethod(broken))
     serial_report = build(MultiCellSimulator).replay(cohort_trace())
     vectorized = build(VectorizedSimulator)
     vectorized_report = vectorized.replay(cohort_trace())
     for field in ("completed", "events_processed", "latency", "cells"):
         assert getattr(vectorized_report, field) == getattr(serial_report, field), field
-    assert all(verdict is False for verdict in VectorizedSimulator._validated.values())
-    VectorizedSimulator._validated.clear()
+    assert verdicts and all(verdict is False for verdict in verdicts.values())
+    assert vectorized.fallback_reason == "cross-check divergence; serial result returned"
+    if cross_check_path == "helper":
+        assert_live_helper()
 
 
-def test_cross_check_validates_then_reuses_kernel():
+def test_cross_check_validates_then_reuses_kernel(cross_check_path, verdicts):
     """First replay of a fresh signature cross-checks; the verdict is cached."""
-    VectorizedSimulator._validated.clear()
     serial_report = build(MultiCellSimulator).replay(cohort_trace())
     first = build(VectorizedSimulator).replay(cohort_trace())
-    assert dict(VectorizedSimulator._validated) and all(
-        VectorizedSimulator._validated.values()
-    )
+    assert dict(verdicts) and all(verdicts.values())
     second = build(VectorizedSimulator).replay(cohort_trace())
     for report in (first, second):
         for field in ("completed", "events_processed", "latency", "cells"):
             assert getattr(report, field) == getattr(serial_report, field), field
-    VectorizedSimulator._validated.clear()
+    assert len(verdicts) == 1
+
+
+def test_generator_seed_matches_serial(cross_check_path, verdicts):
+    """A Generator seed is shared with the wrapped simulator, not the shadow.
+
+    The shadow replays from a copy of the generator's state, so the kernel
+    cannot advance the stream the serial replay reads; and the signature
+    keys on that state, so an equal generator reuses the verdict.
+    """
+    cells = [CellConfig(name=f"cell_{index}") for index in range(4)]
+    catalogue = default_catalogue(DOMAINS, seed=0)
+    trace = ArrivalTraceGenerator(DOMAINS, num_users=40, rate=500.0, seed=3).generate(5000)
+    reports = []
+    for _ in range(2):
+        serial = MultiCellSimulator(cells, catalogue, seed=np.random.default_rng(7))
+        vectorized = VectorizedSimulator(cells, catalogue, seed=np.random.default_rng(7))
+        reports.append((serial.replay(trace), vectorized.replay(trace)))
+        assert vectorized.fallback_reason is None
+        assert (
+            vectorized.mobility.rng.bit_generator.state
+            == serial.mobility.rng.bit_generator.state
+        )
+    for serial_report, vectorized_report in reports:
+        assert_same_report(vectorized_report, serial_report)
+    assert list(verdicts.values()) == [True]
+
+
+def test_helper_report_differing_from_serial_fails_the_check(helper_path, monkeypatch, verdicts):
+    """A helper report that differs from serial: verdict False, serial returned."""
+    monkeypatch.setattr(vectorized_module, "_shadow_replay", skewed_shadow_replay)
+    serial_report = build(MultiCellSimulator).replay(cohort_trace())
+    vectorized = build(VectorizedSimulator)
+    report = vectorized.replay(cohort_trace())
+    assert_same_report(report, serial_report)
+    assert list(verdicts.values()) == [False]
+    assert vectorized.fallback_reason == "cross-check divergence; serial result returned"
+    assert_live_helper()
+
+
+@pytest.mark.parametrize("failure", ["pool creation", "pool breaks"])
+def test_helper_failure_degrades_to_in_process(failure, helper_path, monkeypatch, verdicts):
+    """No usable helper: the shadow runs in-process, same report and verdict."""
+    monkeypatch.setattr(vectorized_module, "_helper", None)
+    if failure == "pool creation":
+        def no_pool(*args, **kwargs):
+            raise OSError("no multiprocessing primitives")
+
+        monkeypatch.setattr(vectorized_module, "ProcessPoolExecutor", no_pool)
+    else:
+        monkeypatch.setattr(vectorized_module, "_shadow_replay", dying_shadow_replay)
+    serial_report = build(MultiCellSimulator).replay(cohort_trace())
+    vectorized = build(VectorizedSimulator)
+    report = vectorized.replay(cohort_trace())
+    assert_same_report(report, serial_report)
+    assert vectorized.fallback_reason is None
+    assert list(verdicts.values()) == [True]
+    # The process stays on the in-process shadow.
+    assert vectorized_module._helper == (os.getpid(), None)
+    assert vectorized_module._submit_shadow(()) is None
+
+
+def test_unpicklable_job_runs_in_process(helper_path, monkeypatch, verdicts):
+    """A job the helper cannot receive runs in-process; the helper stays."""
+
+    class LocalCell(CellConfig):  # local classes do not pickle
+        pass
+
+    calls = []
+
+    def recording_shadow_replay(job):
+        calls.append(os.getpid())
+        return shadow_replay(job)
+
+    monkeypatch.setattr(vectorized_module, "_shadow_replay", recording_shadow_replay)
+    cells = [LocalCell(name=f"cell_{index}") for index in range(3)]
+    catalogue = default_catalogue(DOMAINS, seed=3)
+    serial_report = MultiCellSimulator(cells, catalogue, seed=11).replay(cohort_trace())
+    report = VectorizedSimulator(cells, catalogue, seed=11).replay(cohort_trace())
+    assert_same_report(report, serial_report)
+    assert calls == [os.getpid()]
+    assert list(verdicts.values()) == [True]
+    assert_live_helper()
+
+
+def test_serial_failure_still_reads_the_helper_report(helper_path, monkeypatch, verdicts):
+    """The serial replay raising while the helper's job is pending."""
+    collected = []
+    submit = vectorized_module._submit_shadow
+
+    def recording_submit(job):
+        collect = submit(job)
+        assert collect is not None
+
+        def recording_collect():
+            collected.append(collect())
+            return collected[-1]
+
+        return recording_collect
+
+    def failing_replay(trace, run=True):
+        raise RuntimeError("injected serial fault")
+
+    monkeypatch.setattr(vectorized_module, "_submit_shadow", recording_submit)
+    vectorized = build(VectorizedSimulator)
+    monkeypatch.setattr(vectorized._inner, "replay", failing_replay)
+    with pytest.raises(RuntimeError, match="injected serial fault"):
+        vectorized.replay(cohort_trace())
+    assert len(collected) == 1 and isinstance(collected[0], SimulationReport)
+    assert not verdicts
+    assert_live_helper()
+
+
+#: Replays catalog rows on the vectorized backend with ``--jobs 2`` (forked
+#: pool workers, each starting its own helper) and prints the tables.
+PARALLEL_ROWS = """
+import json, sys
+import repro.sim.vectorized.simulator as vectorized_module
+from repro.scenarios.catalog import catalog
+from repro.scenarios.runner import run_catalog
+
+vectorized_module.available_cpus = lambda: 2
+specs = [catalog()[name] for name in sys.argv[1:]]
+tables = run_catalog(specs, seed=0, scale=0.05, jobs=2, backend="vectorized")
+print(json.dumps({name: table.rows for name, table in tables.items()}))
+"""
+
+
+def test_parallel_runner_rows_match_jobs_1(helper_path):
+    """Vectorized rows under ParallelRunner(jobs=2) equal jobs=1, in bounded time."""
+    names = ["steady_state", "link_brownout", "cache_cold_restart"]
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    process = subprocess.Popen(
+        [sys.executable, "-c", PARALLEL_ROWS, *names],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = process.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(process.pid, signal.SIGKILL)
+        process.communicate()
+        pytest.fail("jobs=2 vectorized rows did not finish in 120 s")
+    assert process.returncode == 0, stderr.decode()
+    specs = [catalog()[name] for name in names]
+    tables = run_catalog(specs, seed=0, scale=0.05, jobs=1, backend="vectorized")
+    expected = json.loads(json.dumps({name: table.rows for name, table in tables.items()}))
+    assert json.loads(stdout) == expected
 
 
 def test_record_many_is_bit_identical_to_scalar_records():
