@@ -29,6 +29,11 @@ E9_REQUESTS = 50_000
 TRACE_REQUESTS = 400_000
 SUITE_REQUESTS_PER_ROW = 12_500
 COHORT_OPERATIONS = 200_000
+LATENCY_RECORDS = 200_000
+
+#: Gate of ``latency_record``: an overflow record (one reservoir slot draw)
+#: may cost at most this many fill records.
+LATENCY_RECORD_MAX_RATIO = 4.0
 
 
 def _best_of(function: Callable[[], Dict[str, float]], repeats: int) -> Dict[str, float]:
@@ -408,6 +413,42 @@ def bench_cohort_kernel(scale: float = 1.0, repeats: int = 3) -> Dict[str, float
     return _best_of(round_, repeats)
 
 
+def bench_latency_record(scale: float = 1.0, repeats: int = 3) -> Dict[str, float]:
+    """ns per ``LatencyRecorder.record`` below and above the reservoir threshold.
+
+    One recorder takes ``n`` records that fill its ``n``-sample reservoir,
+    then ``n`` more that each draw a replacement slot; both halves record
+    the same values in the same run.  ``overflow_over_fill`` divides the
+    best overflow time by the best fill time over ``repeats`` rounds, so it
+    compares the two paths on one host and is gated on every host.
+    """
+    from repro.sim.metrics import LatencyRecorder
+
+    records = max(int(LATENCY_RECORDS * scale), 20_000)
+    values = (np.random.default_rng(0).random(records) * 0.25).tolist()
+
+    def timed(record) -> float:
+        started = time.perf_counter()
+        for value in values:
+            record(value)
+        return time.perf_counter() - started
+
+    fill_s = overflow_s = float("inf")
+    for _ in range(max(repeats, 1)):
+        recorder = LatencyRecorder(reservoir_size=records)
+        fill_s = min(fill_s, timed(recorder.record))
+        overflow_s = min(overflow_s, timed(recorder.record))
+        assert len(recorder) == 2 * records and not recorder.exact
+    return {
+        "wall_s": fill_s + overflow_s,
+        "records": float(2 * records),
+        "records_per_sec": 2 * records / (fill_s + overflow_s),
+        "fill_ns_per_record": fill_s / records * 1e9,
+        "overflow_ns_per_record": overflow_s / records * 1e9,
+        "overflow_over_fill": overflow_s / fill_s,
+    }
+
+
 def bench_trace_generation(scale: float = 1.0, repeats: int = 3) -> Dict[str, float]:
     """Arrival-trace generation throughput plus the columnar summary helpers.
 
@@ -540,6 +581,7 @@ def run_all(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
         "e9_replay": bench_e9_replay(scale, max(repeats - 1, 1)),
         "e9_replay_vectorized": bench_e9_replay_vectorized(scale, repeats),
         "cohort_kernel": bench_cohort_kernel(scale, repeats),
+        "latency_record": bench_latency_record(scale, repeats),
         "trace_generation": bench_trace_generation(scale, repeats),
         "suite_parallel": bench_suite_parallel(scale, max(repeats - 2, 1)),
     }

@@ -10,7 +10,10 @@ Usage (from the repo root)::
 ``BENCH_perf.json`` records the committed baseline next to the fresh numbers
 plus the derived speedups, so the perf trajectory of the repo is one file
 diff away.  ``--fail-below-ratio R`` exits non-zero when the measured sim
-events/sec drops below ``R`` times the baseline — the CI regression gate.
+events/sec drops below ``R`` times the baseline — the CI regression gate —
+or when an in-run ratio gate fails (``latency_record``: an overflow record
+costing more than ``LATENCY_RECORD_MAX_RATIO`` fill records).  The in-run
+gates compare two measurements of the same run, so they arm on every host.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ except ImportError:  # pragma: no cover - environment-dependent
 if __package__ in (None, ""):  # executed as a script
     sys.path.insert(0, str(REPO_ROOT))
 
-from benchmarks.perf.harness import run_all  # noqa: E402
+from benchmarks.perf.harness import LATENCY_RECORD_MAX_RATIO, run_all  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "perf" / "baseline.json"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_perf.json"
@@ -86,6 +89,22 @@ def _speedups(baseline: dict, current: dict) -> dict:
     return speedups
 
 
+def _in_run_gate_failed(current: dict) -> bool:
+    """Check the host-independent ratio gates; True when one fails."""
+    ratio = current["latency_record"]["overflow_over_fill"]
+    if ratio > LATENCY_RECORD_MAX_RATIO:
+        print(
+            f"PERF REGRESSION: latency_record overflow costs {ratio:.2f}x a fill record "
+            f"(> {LATENCY_RECORD_MAX_RATIO:.1f}x gate)"
+        )
+        return True
+    print(
+        f"perf gate ok: latency_record overflow at {ratio:.2f}x a fill record "
+        f"(gate {LATENCY_RECORD_MAX_RATIO:.1f}x)"
+    )
+    return False
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scale", type=float, default=1.0, help="workload scale factor (default 1.0)")
@@ -132,8 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"results written to {args.output}")
     sections = ("tensor_inference", "tensor_training", "codec_training", "sim_engine",
-                "e9_replay", "e9_replay_vectorized", "cohort_kernel", "trace_generation",
-                "suite_parallel")
+                "e9_replay", "e9_replay_vectorized", "cohort_kernel", "latency_record",
+                "trace_generation", "suite_parallel")
     for section in sections:
         metrics = current[section]
         rate_key = next(key for key in metrics if key.endswith("_per_sec"))
@@ -147,6 +166,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {key:36s} {value:6.2f}x")
 
     if args.fail_below_ratio is not None:
+        in_run_failed = _in_run_gate_failed(current)
         if "baseline" not in payload:
             # An explicitly requested gate with nothing to compare against is
             # an error, not a silent pass — otherwise a lost baseline file
@@ -167,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
             for line in mismatches:
                 print(f"  {line}")
             print("  (re-record with --save-baseline on this host to re-arm the gate)")
-            return 0
+            return 1 if in_run_failed else 0
         gate = args.fail_below_ratio
         gated = {
             "sim_engine": "sim_engine_events_per_sec",
@@ -190,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
                 failed = True
             else:
                 print(f"perf gate ok: {section} at {achieved:.2f}x of baseline (gate {gate:.2f}x)")
-        if failed:
+        if failed or in_run_failed:
             return 1
     return 0
 

@@ -7,6 +7,13 @@ from typing import Dict
 
 import numpy as np
 
+from repro.utils.rng import BlockDraws
+
+
+def _slot_draws(generator: np.random.Generator, position: int, count: int) -> np.ndarray:
+    """Algorithm-R slots for the records whose running counts start at ``position``."""
+    return generator.integers(0, np.arange(position, position + count))
+
 
 class LatencyRecorder:
     """Accumulates completion latencies and summarizes their distribution.
@@ -19,6 +26,11 @@ class LatencyRecorder:
     generator, so runs stay reproducible): a 1M-request replay then costs the
     same memory as a 100k one, with percentiles becoming tight estimates.
     Mean, max and count are always exact regardless of length.
+
+    The replacement slots are drawn in blocks (:class:`~repro.utils.rng.
+    BlockDraws`): one ``integers(0, np.arange(count, count + n))`` call
+    returns the same slots as ``n`` scalar ``integers(0, count)`` draws, so
+    samples are bit-identical to drawing one slot per record.
     """
 
     def __init__(self, reservoir_size: int = 100_000, seed: int = 0) -> None:
@@ -31,25 +43,37 @@ class LatencyRecorder:
         self._max = 0.0
         self._seed = seed
         self._rng: np.random.Generator | None = None  # created on first overflow
-        #: Explicit retained-sample count after an :meth:`absorb` merge;
-        #: ``None`` means "derive from count" (the normal recording path).
-        self._retained: int | None = None
+        #: Slot stream, started at the first overflow record and again after
+        #: an :meth:`absorb`, whose records start at a new running count.
+        self._slots: BlockDraws | None = None
+        #: Recorded latencies not retained by an :meth:`absorb` merge; the
+        #: next sample goes to index ``count - offset``.
+        self._offset = 0
 
     def record(self, latency_s: float) -> None:
         """Record one completed request's latency."""
-        index = self._count
-        self._count = index + 1
+        count = self._count
+        self._count = count + 1
         self._sum += latency_s
         if latency_s > self._max:
             self._max = latency_s
+        index = count - self._offset
         if index < self._capacity:
             self._samples[index] = latency_s
             return
-        if self._rng is None:
-            self._rng = np.random.default_rng(self._seed)
-        slot = int(self._rng.integers(0, self._count))
+        slots = self._slots
+        if slots is None:
+            slots = self._start_slots(count + 1)
+        slot = slots.next()
         if slot < self._capacity:
             self._samples[slot] = latency_s
+
+    def _start_slots(self, position: int) -> BlockDraws:
+        """Start the slot stream at the record whose running count is ``position``."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        self._slots = BlockDraws(self._rng, _slot_draws, position=position)
+        return self._slots
 
     def __len__(self) -> int:
         return self._count
@@ -60,28 +84,34 @@ class LatencyRecorder:
         The region that fits in the reservoir is appended with one slice
         assignment; the running sum is folded left-to-right with
         ``np.add.accumulate`` (the same sequential order as scalar ``+=``, so
-        the float result is the same bits).  Any overflow tail falls back to
-        scalar :meth:`record` calls, preserving the reservoir's replacement
-        draw order exactly.
+        the float result is the same bits).  The overflow tail draws all its
+        slots in one call and scatters into the reservoir with the last
+        writer winning, as the scalar replacements would.
         """
         values = np.ascontiguousarray(latencies_s, dtype=np.float64)
         count = len(values)
         if count == 0:
             return
         start = self._count
-        fit = min(count, self._capacity - start) if start < self._capacity else 0
+        fit = min(count, max(self._capacity - (start - self._offset), 0))
         if fit:
-            head = values[:fit]
-            self._samples[start : start + fit] = head
-            self._count = start + fit
-            self._sum = float(
-                np.add.accumulate(np.concatenate(([self._sum], head)))[-1]
-            )
-            peak = float(head.max())
-            if peak > self._max:
-                self._max = peak
-        for latency in values[fit:].tolist():
-            self.record(latency)
+            index = start - self._offset
+            self._samples[index : index + fit] = values[:fit]
+        self._count = start + count
+        self._sum = float(np.add.accumulate(np.concatenate(([self._sum], values)))[-1])
+        peak = float(values.max())
+        if peak > self._max:
+            self._max = peak
+        if fit == count:
+            return
+        slots = self._slots
+        if slots is None:
+            slots = self._start_slots(start + fit + 1)
+        tail_slots = slots.take(count - fit)
+        replaced = np.flatnonzero(tail_slots < self._capacity)
+        # Reversed, np.unique's first index per slot is the last writer's.
+        targets, last = np.unique(tail_slots[replaced][::-1], return_index=True)
+        self._samples[targets] = values[fit:][replaced[len(replaced) - 1 - last]]
 
     def absorb(self, other: "LatencyRecorder") -> None:
         """Merge another recorder's distribution into this one, deterministically.
@@ -93,7 +123,9 @@ class LatencyRecorder:
         reduction, so merged percentiles are exact whenever every input was
         exact and the union fits, and tight reservoir-style estimates beyond
         that.  Merge order must be deterministic (shard-index order) for
-        byte-stable results, which the sharded drivers guarantee.
+        byte-stable results, which the sharded drivers guarantee.  Later
+        records append after the merged samples until the reservoir is full,
+        then replace as usual.
         """
         if other._count == 0:
             return
@@ -108,12 +140,15 @@ class LatencyRecorder:
             keep = np.linspace(0, len(union) - 1, self._capacity).round().astype(np.int64)
             union = union[keep]
         self._samples[: len(union)] = union
-        self._retained = len(union)
+        self._offset = self._count - len(union)
+        if self._slots is not None:
+            self._slots.sync()
+            self._slots = None
 
     @property
     def retained(self) -> int:
         """Number of samples currently held (== count while exact)."""
-        return min(self._count, self._capacity) if self._retained is None else self._retained
+        return min(self._count - self._offset, self._capacity)
 
     @property
     def exact(self) -> bool:

@@ -17,13 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.caching.cache import SemanticModelCache
 from repro.edge.network import LinkSpec, NetworkTopology
 from repro.edge.server import EdgeServer
 from repro.exceptions import ConfigurationError
 from repro.sim.batching import BatchAccumulator, BatchingConfig
 from repro.sim.metrics import CellStats
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import BlockDraws, SeedLike, new_rng
 
 #: Node name of the cloud model repository in the backhaul topology.
 CLOUD = "cloud"
@@ -127,6 +129,11 @@ class MobilityConfig:
             )
 
 
+def _uniform_draws(generator: np.random.Generator, position: int, count: int) -> np.ndarray:
+    """``count`` successive ``Generator.random()`` values."""
+    return generator.random(count)
+
+
 class MobilityModel:
     """Tracks each user's serving cell and samples random-neighbour handovers.
 
@@ -134,6 +141,14 @@ class MobilityModel:
     :func:`build_multicell_topology` uses), so a handover moves the user to
     one of the two topologically adjacent cells — not an arbitrary teleport
     across the deployment.
+
+    The per-arrival ``random()`` draws are served from blocks
+    (:class:`~repro.utils.rng.BlockDraws`), bit-identically to scalar draws,
+    so the generator runs up to one block ahead between syncs.  It is synced
+    back to the scalar position before every other draw (first-sight
+    placement), on every read of :attr:`rng`, and by :meth:`sync`, which the
+    simulator calls at the end of every replay — so a ``Generator`` passed as
+    ``seed`` never reads ahead of the draws actually made.
     """
 
     def __init__(self, cell_names: Sequence[str], config: MobilityConfig, seed: SeedLike = None) -> None:
@@ -141,13 +156,22 @@ class MobilityModel:
             raise ConfigurationError("at least one cell is required")
         self.cell_names = list(cell_names)
         self.config = config
-        self.rng = new_rng(seed)
+        self._draws = BlockDraws(new_rng(seed), _uniform_draws)
         self._user_cell: Dict[str, str] = {}
         self._ring_index = {name: index for index, name in enumerate(self.cell_names)}
         # Hot-path constants hoisted out of per-request attribute chases.
         self._num_cells = len(self.cell_names)
         self._probability = config.handover_probability
-        self._random = self.rng.random
+        self._random = self._draws.next
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The mobility generator, synced to the scalar draw position."""
+        return self._draws.sync()
+
+    def sync(self) -> None:
+        """Rewind the generator to where scalar draws would have left it."""
+        self._draws.sync()
 
     def cell_of(self, user_id: str) -> str:
         """The user's current serving cell (assigned uniformly on first sight)."""

@@ -536,7 +536,10 @@ class MultiCellSimulator:
             and isinstance(trace, RequestTrace)
             and trace.is_columnar
         ):
-            return self._replay_columnar(trace)
+            try:
+                return self._replay_columnar(trace)
+            finally:
+                self.mobility.sync()
         domain_info = self._domain_info
         num_tokens = self.config.num_tokens
         counter = self._request_counter
@@ -666,32 +669,42 @@ class MultiCellSimulator:
         return self.report(wall_clock_s=time.perf_counter() - started)
 
     def run(self) -> SimulationReport:
-        """Process all scheduled events and return the run's report."""
+        """Process all scheduled events and return the run's report.
+
+        Whether it returns or raises, the run ends with the mobility
+        generator synced to its scalar draw position (see
+        :class:`~repro.sim.multicell.MobilityModel`).
+        """
         started = time.perf_counter()
         stream = self._arrival_stream
-        if stream:
-            self._arrival_stream = []
-            arrive = self._on_arrival
-            delivered = 0
+        try:
+            if stream:
+                self._arrival_stream = []
+                arrive = self._on_arrival
+                delivered = 0
 
-            def on_stream_item(sim: Simulation, index: int) -> None:
-                nonlocal delivered
-                # Marked delivered before processing: an arrival whose own
-                # handling raises is consumed either way (matching the heap
-                # path, where the popped event is gone after an exception).
-                delivered = index + 1
-                arrive(stream[index])
+                def on_stream_item(sim: Simulation, index: int) -> None:
+                    nonlocal delivered
+                    # Marked delivered before processing: an arrival whose own
+                    # handling raises is consumed either way (matching the heap
+                    # path, where the popped event is gone after an exception).
+                    delivered = index + 1
+                    arrive(stream[index])
 
-            try:
-                self.engine.run_stream([request.arrival_time for request in stream], on_stream_item)
-            except BaseException:
-                # Keep the undelivered tail so a retry after a mid-replay
-                # exception continues where the run stopped instead of
-                # silently simulating only the delivered prefix.
-                self._arrival_stream = stream[delivered:]
-                raise
-        else:
-            self.engine.run()
+                try:
+                    self.engine.run_stream(
+                        [request.arrival_time for request in stream], on_stream_item
+                    )
+                except BaseException:
+                    # Keep the undelivered tail so a retry after a mid-replay
+                    # exception continues where the run stopped instead of
+                    # silently simulating only the delivered prefix.
+                    self._arrival_stream = stream[delivered:]
+                    raise
+            else:
+                self.engine.run()
+        finally:
+            self.mobility.sync()
         return self.report(wall_clock_s=time.perf_counter() - started)
 
     # ------------------------------------------------------------------ #

@@ -387,6 +387,7 @@ class VectorizedSimulator:
         every later draw sits at the serial stream position.
         """
         mobility = sim.mobility
+        # Reading ``rng`` syncs the model's block draws to the scalar position.
         rng = mobility.rng
         num_cells = mobility._num_cells
         n = len(users)

@@ -64,7 +64,9 @@ REQUEST_STAMPS = (
 )
 
 
-def build(cls, retain=False, handover_probability=0.1, capacity_mb=96, **kwargs):
+def build(
+    cls, retain=False, handover_probability=0.1, capacity_mb=96, latency_reservoir=100_000, **kwargs
+):
     cells = [
         CellConfig(name=f"cell_{index}", cache_capacity_bytes=capacity_mb * 1024 * 1024)
         for index in range(3)
@@ -74,6 +76,7 @@ def build(cls, retain=False, handover_probability=0.1, capacity_mb=96, **kwargs)
         batching=BatchingConfig(max_batch_size=4, max_wait_s=0.01, amortization=0.4),
         mobility=MobilityConfig(handover_probability=handover_probability),
         retain_requests=retain,
+        latency_reservoir=latency_reservoir,
     )
     return cls(cells, catalogue, config=config, seed=11, **kwargs)
 
@@ -320,6 +323,38 @@ def test_cross_check_validates_then_reuses_kernel(cross_check_path, verdicts):
         for field in ("completed", "events_processed", "latency", "cells"):
             assert getattr(report, field) == getattr(serial_report, field), field
     assert len(verdicts) == 1
+
+
+#: Latency summary of :func:`test_reservoir_overflow_replay_is_pinned`'s
+#: replay, as drawing one reservoir slot per overflow record produced it.
+OVERFLOW_SUMMARY = {
+    "mean_s": 0.12058733274612903,
+    "p50_s": 0.014974622395705461,
+    "p95_s": 0.7021723477132163,
+    "p99_s": 1.2226508125883262,
+    "max_s": 1.5679357634582383,
+}
+
+
+@pytest.mark.parametrize("retain", [False, True])
+def test_reservoir_overflow_replay_is_pinned(retain, cross_check_path, verdicts):
+    """3000 completions through a 256-sample reservoir: the overflow path.
+
+    No committed golden row exceeds the default 100k reservoir, so this pins
+    the reservoir-sampled summary, and the kernel (``record_many`` when
+    untracked, per-request ``record`` when retaining) must match serial with
+    the cross-check off and on.
+    """
+    trace = ArrivalTraceGenerator(DOMAINS, num_users=40, rate=500.0, seed=3).generate(3000)
+    serial = build(MultiCellSimulator, retain=retain, latency_reservoir=256)
+    serial_report = serial.replay(trace)
+    assert not serial.latency.exact and serial.latency.retained == 256
+    assert serial_report.latency == OVERFLOW_SUMMARY
+    kernel = build(VectorizedSimulator, retain=retain, latency_reservoir=256, cross_check=False)
+    assert_equivalent(serial, kernel, serial_report, kernel.replay(trace), retain)
+    checked = build(VectorizedSimulator, retain=retain, latency_reservoir=256)
+    assert_same_report(checked.replay(trace), serial_report)
+    assert list(verdicts.values()) == [True]
 
 
 def test_generator_seed_matches_serial(cross_check_path, verdicts):
