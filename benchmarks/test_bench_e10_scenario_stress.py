@@ -13,11 +13,13 @@ below are made between post-warmup phases.
 
 from __future__ import annotations
 
+import pytest
 from conftest import run_once
 
 from repro.experiments import run_experiment
 
 
+@pytest.mark.smoke
 def test_bench_e10_scenario_stress(benchmark, experiment_config, publish):
     tables = run_once(benchmark, run_experiment, "e10", experiment_config)
     stress = publish(tables["stress"])

@@ -17,6 +17,7 @@ retry+hedge / full), publishes the summary and per-phase tables under
 
 from __future__ import annotations
 
+import pytest
 from conftest import run_once
 
 from repro.experiments import run_experiment
@@ -25,6 +26,7 @@ MODES = ("none", "deadline", "retry", "retry_hedge", "full")
 SCENARIOS = ("steady_state", "flash_crowd", "capacity_crunch", "total_blackout")
 
 
+@pytest.mark.smoke
 def test_bench_e11_resilience(benchmark, experiment_config, publish):
     tables = run_once(benchmark, run_experiment, "e11", experiment_config)
     summary = publish(tables["resilience"])

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from conftest import run_once
 
 from repro.experiments import run_experiment
@@ -47,6 +48,7 @@ _PAIRED_COLUMNS = (
 ONLINE_POLICIES = ("lru", "lfu", "semantic-popularity")
 
 
+@pytest.mark.smoke
 def test_bench_e12_placement(benchmark, experiment_config, publish):
     config = replace(experiment_config, scale=0.1)
     tables = run_once(benchmark, run_experiment, "e12", config)

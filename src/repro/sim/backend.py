@@ -80,7 +80,7 @@ class SimBackend(Protocol):
     #: Called once per request at its terminal event (completion or drop).
     on_request_end: Optional[Callable[[Request], None]]
 
-    def replay(self, trace, run: bool = True) -> SimulationReport:
+    def replay(self, trace) -> SimulationReport:
         """Replay a request trace to completion and return the run's report."""
         ...
 

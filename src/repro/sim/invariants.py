@@ -228,7 +228,10 @@ def audit_simulator(sim, allow_over_budget: bool = False) -> None:
       semantics leave the cache over-full rather than break a pin);
     * per-cell counters are non-negative, their completion sum matches the
       engine total, and the latency recorder saw exactly one sample per
-      completion.
+      completion;
+    * the policy layers hold nothing: resilience's admission counters and
+      hedge pairs, and placement's per-cell placed-queue counters, are all
+      back at zero.
     """
     for name, cell in sim.cells.items():
         cache = cell.cache
@@ -298,6 +301,13 @@ def audit_simulator(sim, allow_over_budget: bool = False) -> None:
             raise InvariantViolation(
                 f"{len(sim._hedge_pairs)} hedge pairs unresolved after quiescence "
                 f"(e.g. {sorted(sim._hedge_pairs)[:3]})"
+            )
+    placement = getattr(sim, "_placement", None)
+    if placement is not None:
+        stuck = {name: count for name, count in placement.outstanding.items() if count != 0}
+        if stuck:
+            raise InvariantViolation(
+                f"placement outstanding counters non-zero after quiescence: {stuck}"
             )
 
 

@@ -37,12 +37,15 @@ import numpy as np
 
 from repro.sim.engine import Simulation
 from repro.sim.metrics import CellStats, LatencyRecorder
-from repro.sim.multicell import CLOUD, CellConfig, ModelSpec
-from repro.sim.request import CLOUD_FETCH, DROPPED, FORWARDED, NEIGHBOR_FETCH, Request
-from repro.sim.sharded.partition import FAILOVER_HANDOVER
-from repro.sim.simulator import MultiCellSimulator, SimulatorConfig
+from repro.sim.multicell import CellConfig, ModelSpec
+from repro.sim.request import FORWARDED, Request
+from repro.sim.sharded.partition import FAILOVER_HANDOVER, MOBILITY_HANDOVER, NO_HANDOVER
+from repro.sim.simulator import FAILED_OVER, MultiCellSimulator, SimulatorConfig
 
 _EMPTY: FrozenSet[str] = frozenset()
+
+#: The arrival step's ``moved`` marker for each plan flag.
+_MOVED = {NO_HANDOVER: None, MOBILITY_HANDOVER: True, FAILOVER_HANDOVER: FAILED_OVER}
 
 
 @dataclass(frozen=True)
@@ -215,79 +218,31 @@ class ShardSimulator(MultiCellSimulator):
             self.config.num_tokens,
         )
         request.cell = cell.name
-        if self._resilience is not None:
-            self._stream_item_resilient(request, cell, self._plan_flags[index])
-            return
-        if cell.failed:
-            # Planned onto a cell that is down anyway (no alive candidate
-            # existed at planning time, or it died within a handover window).
-            self._failover(request, cell)
-            return
-        flag = self._plan_flags[index]
-        if flag:
-            request.handover = True
-            cell.stats.handovers_in += 1
-            if flag == FAILOVER_HANDOVER:
-                cell.stats.failovers += 1
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-                return
-        self._lookup(request, cell)
-
-    def _stream_item_resilient(self, request: Request, cell, flag) -> None:
-        """Planned arrival under a policy: hedge timer, breaker-aware routing."""
-        policy = self._resilience
-        if policy.hedge_delay_s is not None:
-            self.engine.post(
-                policy.hedge_delay_s, lambda sim, r=request: self._maybe_hedge(r)
-            )
-        if cell.failed or self._breaker_open(cell):
-            self._failover(request, cell)
-            return
-        if flag:
-            request.handover = True
-            cell.stats.handovers_in += 1
-            if flag == FAILOVER_HANDOVER:
-                cell.stats.failovers += 1
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-                return
-        self._lookup(request, cell)
+        # A cell planned onto while down (no alive candidate existed at
+        # planning time, or it died within a handover window) fails the
+        # request over inside the arrival step.
+        self._arrive(request, cell, _MOVED[self._plan_flags[index]])
 
     def _accept_forward(self, forward: Forward) -> None:
-        """Re-enter a cross-shard failover at the barrier (now = window end)."""
+        """Re-enter a cross-shard failover at the barrier (now = window end).
+
+        The continuation is a fresh request with its own hedge window, and a
+        handover even when it fails over (or drops) on arrival.
+        """
         cell = self.cells[forward.cell]
         self._forward_counter += 1
-        info = self._domain_info[forward.domain]
         request = Request(
             self._forward_counter,
             forward.user_id,
             forward.domain,
-            info[0],
+            self._domain_info[forward.domain][0],
             forward.arrival_time,
             self.config.num_tokens,
         )
         request.handover = True
         request.cell = cell.name
         self._forward_hops[request.request_id] = forward.hops
-        policy = self._resilience
-        if policy is not None and policy.hedge_delay_s is not None:
-            # The continuation gets its own hedge window, like a fresh arrival.
-            self.engine.post(
-                policy.hedge_delay_s, lambda sim, r=request: self._maybe_hedge(r)
-            )
-        if cell.failed or (policy is not None and self._breaker_open(cell)):
-            self._failover(request, cell)
-            return
-        cell.stats.handovers_in += 1
-        cell.stats.failovers += 1
-        delay = self.config.mobility.handover_delay_s
-        if delay > 0:
-            self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-        else:
-            self._lookup(request, cell)
+        self._arrive(request, cell, FAILED_OVER)
 
     # ------------------------------------------------------------------ #
     # Lifecycle overrides
@@ -295,98 +250,45 @@ class ShardSimulator(MultiCellSimulator):
     def _failover(self, request: Request, from_cell) -> None:
         """Serial failover, extended across the shard boundary.
 
-        The first alive candidate in the (global) neighbour order wins, as in
-        the serial engine — every shard applies the same fault timeline, so
-        remote ``failed`` flags are exact, not stale.  An owned winner is
-        handled locally; a remote winner turns the request into a
-        :class:`Forward` delivered at the next barrier, unless its hop budget
-        is spent.
-        """
-        if self._resilience is not None:
-            self._failover_resilient(request, from_cell)
-            return
-        fallback = None
-        for neighbor in from_cell.neighbor_order:
-            if not neighbor.failed:
-                fallback = neighbor
-                break
-        hops = self._forward_hops.pop(request.request_id, 0)
-        if fallback is None or hops >= self._max_forward_hops:
-            request.status = DROPPED
-            from_cell.stats.dropped += 1
-            hook = self.on_request_end
-            if hook is not None:
-                hook(request)
-            return
-        if fallback.name in self._owned:
-            self._forward_hops[request.request_id] = hops
-            request.handover = True
-            request.cell = fallback.name
-            fallback.stats.handovers_in += 1
-            fallback.stats.failovers += 1
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=fallback: self._lookup(r, c))
-            else:
-                self._lookup(request, fallback)
-            return
-        self._forwards.append(
-            Forward(
-                cell=fallback.name,
-                user_id=request.user_id,
-                domain=request.domain,
-                arrival_time=request.arrival_time,
-                hops=hops + 1,
-            )
-        )
+        The first routable candidate in the (global) neighbour order wins, as
+        in the serial engine — every shard applies the same fault timeline,
+        so remote ``failed`` flags are exact, not stale.  An owned winner is
+        handled locally by the shared hand-over (whose ``mobility.place``
+        touches only this shard's mobility model, which nothing consults: the
+        plan fixed every serving cell); a remote winner turns the request
+        into a :class:`Forward` delivered at the next barrier, unless its hop
+        budget is spent.  The hop budget is per attempt: a retry after
+        backoff starts a fresh chain, bounded by ``max_retries`` overall.
 
-    def _failover_resilient(self, request: Request, from_cell) -> None:
-        """Shard failover under a policy: breaker-aware, retry-aware, hedge-safe.
-
-        Hedge twins are pinned to their shard — a twin may only re-home to an
-        *owned* cell, never forward, because its primary is still live here
-        and a cross-shard continuation could terminate the logical request
-        twice.  When a primary with a live twin forwards, the local pair is
-        resolved by fiat (the remote continuation owns the terminal) so the
-        twin's eventual outcome is suppressed.  The forward-hop budget is
-        per-attempt: a retry after backoff starts a fresh chain, bounded by
-        ``max_retries`` overall.
+        Hedge twins never forward (their candidates are owned cells only, see
+        :meth:`_hedge_candidates`): the primary is still live here, and a
+        cross-shard continuation could terminate the logical request twice.
+        When a primary whose twin is still in flight forwards, the local pair
+        is resolved by fiat — the remote continuation owns the terminal, so
+        the twin's eventual outcome is suppressed.  When the twin has already
+        won, the primary is the cancelled loser: de-counted here and never
+        forwarded.
         """
-        owned = self._owned
-        is_hedge = request.is_hedge
-        fallback = None
-        for neighbor in from_cell.neighbor_order:
-            if is_hedge and neighbor.name not in owned:
-                continue
-            if not neighbor.failed and not self._breaker_open(neighbor):
-                fallback = neighbor
-                break
+        fallback = self._failover_target(request, from_cell)
         hops = self._forward_hops.pop(request.request_id, 0)
         if fallback is None or hops >= self._max_forward_hops:
             self._drop_or_retry(request, from_cell)
             return
-        if fallback.name in owned:
+        if fallback.name in self._owned:
             self._forward_hops[request.request_id] = hops
-            request.handover = True
-            request.cell = fallback.name
-            fallback.stats.handovers_in += 1
-            fallback.stats.failovers += 1
-            # No mobility.place here: the shard's mobility model is never
-            # consulted — the pre-pass plan already fixed every serving cell.
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=fallback: self._lookup(r, c))
-            else:
-                self._lookup(request, fallback)
+            self._hand_over(request, fallback)
             return
         self._unadmit(request)
-        request.status = FORWARDED
         pair = self._hedge_pairs.get(request.request_id)
         if pair is not None:
-            pair[0] = True
             pair[1] -= 1
+            won = pair[0]
+            pair[0] = True
             if pair[1] <= 0:
                 del self._hedge_pairs[request.request_id]
+            if won:
+                return
+        request.status = FORWARDED
         self._forwards.append(
             Forward(
                 cell=fallback.name,
@@ -402,7 +304,7 @@ class ShardSimulator(MultiCellSimulator):
         owned = self._owned
         return [neighbor for neighbor in cell.neighbor_order if neighbor.name in owned]
 
-    def _begin_fetch(self, request: Request, cell, key: str, spec: ModelSpec) -> None:
+    def _find_source(self, cell, key: str):
         """Cooperative-source search across owned caches *and* the directory.
 
         Walks the global neighbour order exactly like the serial engine;
@@ -415,56 +317,16 @@ class ShardSimulator(MultiCellSimulator):
         """
         owned = self._owned
         directory = self._directory
-        source = None
-        remote_name = None
         for neighbor in cell.neighbor_order:
             if neighbor.failed:
                 continue
             name = neighbor.name
             if name in owned:
                 if neighbor.cache.peek(key) is not None:
-                    source = neighbor
-                    break
+                    return name, neighbor
             elif key in directory.get(name, _EMPTY):
-                remote_name = name
-                break
-        epoch = cell.failure_epoch
-        if source is not None:
-            cell.stats.neighbor_fetches += 1
-            request.cache_outcome = NEIGHBOR_FETCH
-            source.cache.pin(key)
-            delay = self.costs.transfer_time(source.name, cell.name, spec.size_bytes)
-            self.backhaul_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, s=source, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=s, epoch=e
-                ),
-            )
-        elif remote_name is not None:
-            cell.stats.neighbor_fetches += 1
-            request.cache_outcome = NEIGHBOR_FETCH
-            delay = self.costs.transfer_time(remote_name, cell.name, spec.size_bytes)
-            self.backhaul_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=None, epoch=e
-                ),
-            )
-        else:
-            cell.stats.cloud_fetches += 1
-            request.cache_outcome = CLOUD_FETCH
-            delay = spec.build_cost_s + self.costs.transfer_time(
-                CLOUD, cell.name, spec.size_bytes
-            )
-            self.cloud_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=None, epoch=e
-                ),
-            )
+                return name, None
+        return None, None
 
     def fail_cell(self, name: str) -> None:
         super().fail_cell(name)

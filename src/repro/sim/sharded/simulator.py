@@ -338,10 +338,8 @@ class ShardedSimulator:
         derived = self.config.backhaul.transfer_time(min_size)
         return derived if derived > 0 else 0.01
 
-    def replay(self, trace, run: bool = True) -> SimulationReport:
+    def replay(self, trace) -> SimulationReport:
         """Partition, plan, and replay ``trace`` across the shards."""
-        if not run:
-            raise ConfigurationError("the sharded backend only supports replay(run=True)")
         if self._replayed:
             raise SimulationError("the sharded backend is one-shot; build a fresh instance")
         started = time.perf_counter()

@@ -7,28 +7,42 @@ service stages behind a single global event queue, instead of the synchronous
 per-call execution the small E7/E8 sweeps use.  One process replays hundreds
 of thousands of requests.
 
-Request lifecycle (see :mod:`repro.sim.request`):
+Request lifecycle (see :mod:`repro.sim.request`), one pipeline for every
+configuration:
 
-1. **Arrival** — the mobility model resolves the serving cell; a handover
-   charges a control-plane delay before the request is processed.
-2. **Cache lookup** — hit: straight to the batch queue.  Miss: if a fetch for
-   the same model is already in flight at this cell the request *coalesces*
-   onto it; otherwise the cell fetches the model from the nearest neighbour
-   cell holding it (backhaul transfer, source entry pinned against eviction
-   for the duration) or, failing that, from the cloud (WAN transfer plus the
-   model's rebuild cost).
-3. **Batching** — requests accumulate per cell until the batch-size or
-   batch-timeout boundary closes the batch (:mod:`repro.sim.batching`).
-4. **Encode + transmit** — the batch runs on the cell's edge server with
-   amortized FLOPs, then each request's semantic features cross the downlink.
-5. **Completion** — latency is recorded, per-cell counters updated.
+1. **Arrival** (``_arrive``) — the mobility model resolves the serving cell;
+   a down cell fails the request over, a handover charges a control-plane
+   delay, and a placement policy may route the request to another cell.
+2. **Cache lookup** (``_lookup``, ``_fetch``) — hit: straight to the batch
+   queue.  Miss: if a fetch for the same model is already in flight at this
+   cell the request *coalesces* onto it; otherwise the cell fetches the
+   model from the nearest neighbour cell holding it (backhaul transfer,
+   source entry pinned against eviction for the duration) or, failing that,
+   from the cloud (WAN transfer plus the model's rebuild cost).
+3. **Batching** (``_enqueue``) — requests accumulate per cell until the
+   batch-size or batch-timeout boundary closes the batch
+   (:mod:`repro.sim.batching`).
+4. **Encode + transmit** (``_execute_batch``) — the batch runs on the cell's
+   edge server with amortized FLOPs, then each request's semantic features
+   cross the downlink.
+5. **Completion** (``_complete``) — latency is recorded, per-cell counters
+   updated.
+
+A request whose cell fails takes the one failover step (``_failover``); one
+with nowhere left to go takes the one terminal-failure step
+(``_drop_or_retry`` / ``_finish_failure``).  The optional policy layers are
+checks inside these stages on their ``None``-able state, not copies of them:
+resilience adds the hedge timer and breaker check at arrival, admission and
+shedding at lookup, the deadline at enqueue, retries at the terminal step and
+hedge settlement at completion; placement routes at arrival and keeps its
+per-cell counters through failover, completion and drops.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +86,11 @@ from repro.sim.placement import PlacementRuntime, PlacementSpec
 from repro.sim.resilience import CircuitBreaker, ResiliencePolicy
 from repro.utils.rng import SeedLike
 from repro.workloads.traces import RequestTrace
+
+#: ``moved`` marker of an arrival that is also a failover (the sharded
+#: backend's planned failovers and forwarded continuations): besides the
+#: handover, the arrival step counts one failover at the serving cell.
+FAILED_OVER = object()
 
 
 @dataclass(frozen=True)
@@ -271,7 +290,8 @@ class MultiCellSimulator:
         is consumed here, so callers must only ask about cells they will
         actually route to when admitted.
         """
-        if self._resilience.breaker_window <= 0:
+        policy = self._resilience
+        if policy is None or policy.breaker_window <= 0:
             return False
         breaker = self._breaker(cell)
         allowed = breaker.allows(self.engine.now)
@@ -316,6 +336,11 @@ class MultiCellSimulator:
     def _finish_failure(self, request: Request, cell: Cell, status: str) -> None:
         """Terminate one physical request attempt with a failure status.
 
+        The one terminal-failure step of the lifecycle: drops (with or
+        without a policy), sheds and deadline expiries all end here, and it
+        releases whatever the request holds — its admission slot and its
+        placed-queue counter.
+
         Hedge-aware: while the request's twin is still in flight the logical
         request may yet succeed, so this half is suppressed (no terminal
         event, no counters) — only the last unresolved half emits the
@@ -340,6 +365,8 @@ class MultiCellSimulator:
             pair[0] = True
             del self._hedge_pairs[request.request_id]
         self._unadmit(request)
+        if self._placement is not None:
+            self._placement.release(request)
         request.status = status
         if status == DROPPED:
             cell.stats.dropped += 1
@@ -354,13 +381,14 @@ class MultiCellSimulator:
     def _drop_or_retry(self, request: Request, from_cell: Cell) -> None:
         """No route was found for ``request``: drop it, or schedule a retry.
 
-        Retries re-fire after exponential backoff with hash-derived jitter
-        (zero RNG consumption; see :func:`repro.sim.resilience.jitter_fraction`)
-        and re-home via the normal failover scan.  Hedge twins never retry —
-        their primary carries the retry budget.
+        Without a policy this is always a drop.  Retries re-fire after
+        exponential backoff with hash-derived jitter (zero RNG consumption;
+        see :func:`repro.sim.resilience.jitter_fraction`) and re-home via the
+        normal failover scan.  Hedge twins never retry — their primary
+        carries the retry budget.
         """
         policy = self._resilience
-        if request.is_hedge or request.attempts >= policy.max_retries:
+        if policy is None or request.is_hedge or request.attempts >= policy.max_retries:
             self._finish_failure(request, from_cell, DROPPED)
             return
         attempt = request.attempts
@@ -389,7 +417,11 @@ class MultiCellSimulator:
         self._failover(request, cell)
 
     def _hedge_candidates(self, cell: Cell) -> Sequence[Cell]:
-        """Cells eligible as hedge targets, nearest first (overridable)."""
+        """Cells eligible as hedge targets, nearest first (overridable).
+
+        Also the failover candidates of a hedge twin: a twin may only run
+        where its pair state lives.
+        """
         return cell.neighbor_order
 
     def _maybe_hedge(self, request: Request) -> None:
@@ -427,41 +459,31 @@ class MultiCellSimulator:
         target.stats.hedges += 1
         self._lookup(twin, target)
 
-    def _complete_resilient(self, cell: Cell, requests: List[Request]) -> None:
-        """Completion under a policy: first hedge half wins, losers de-count."""
-        now = self.engine.now
-        record = self.latency.record
-        hook = self.on_request_end
+    def _settle_hedges(self, cell: Cell, requests: List[Request]) -> List[Request]:
+        """Policy bookkeeping of a finished batch; returns the requests that complete.
+
+        Each physical finish is a breaker success and releases its admission
+        slot.  The first half of a hedge pair to finish wins; a half whose
+        twin already won is the cancelled loser and is de-counted entirely.
+        """
         pairs = self._hedge_pairs
-        completed_count = 0
+        winners: List[Request] = []
         for request in requests:
             self._breaker_record(cell, True)
+            self._unadmit(request)
             pair = pairs.get(request.request_id)
             if pair is not None:
                 pair[1] -= 1
-                if pair[0]:
-                    # The twin already won: this physical finish is the
-                    # cancelled loser — de-count it entirely.
-                    self._unadmit(request)
-                    if pair[1] <= 0:
-                        del pairs[request.request_id]
-                    continue
+                won = pair[0]
                 pair[0] = True
                 if pair[1] <= 0:
                     del pairs[request.request_id]
+                if won:
+                    continue
                 if request.is_hedge:
                     cell.stats.hedge_wins += 1
-            self._unadmit(request)
-            request.completion_time = now
-            request.status = COMPLETED
-            record(now - request.arrival_time)
-            if hook is not None:
-                hook(request)
-            completed_count += 1
-        if completed_count:
-            cell.stats.completed += completed_count
-            self._completed_total += completed_count
-            self._last_completion = now
+            winners.append(request)
+        return winners
 
     # ------------------------------------------------------------------ #
     # Trace replay
@@ -505,17 +527,15 @@ class MultiCellSimulator:
         self.engine.schedule_at(timestamp, lambda sim, r=request: self._on_arrival(r))
         return request
 
-    def replay(self, trace: RequestTrace | Iterable, run: bool = True) -> SimulationReport:
-        """Schedule every trace request and (by default) run to completion.
+    def replay(self, trace: RequestTrace | Iterable) -> SimulationReport:
+        """Replay every trace request to completion and return the report.
 
         Arrivals are *not* pre-scheduled on the event heap: ``run()`` merges
         the time-sorted request stream into the engine's pop loop
         (:meth:`~repro.sim.engine.Simulation.run_stream`), so the heap only
         ever holds the genuinely concurrent work (in-flight fetches, batch
         timers, completions) instead of 50k pending arrivals.  Processing
-        order is identical to eager scheduling.  With ``run=False`` the
-        arrivals are eagerly scheduled on the event queue instead so a later
-        plain ``engine.run()`` still sees them.
+        order is identical to eager scheduling.
 
         A columnar :class:`~repro.workloads.traces.RequestTrace` takes the
         array fast path: :class:`~repro.sim.request.Request` objects are
@@ -530,12 +550,7 @@ class MultiCellSimulator:
             # arrival; the runtime is idempotent so chained replays keep the
             # first trace's plan.
             self._placement.prepare(self, trace if isinstance(trace, RequestTrace) else None)
-        if (
-            run
-            and not self._arrival_stream
-            and isinstance(trace, RequestTrace)
-            and trace.is_columnar
-        ):
+        if not self._arrival_stream and isinstance(trace, RequestTrace) and trace.is_columnar:
             try:
                 return self._replay_columnar(trace)
             finally:
@@ -566,23 +581,10 @@ class MultiCellSimulator:
         if self.config.retain_requests:
             self.requests.extend(pending)
         if pending:
-            if run:
-                self._arrival_stream.extend(pending)
-                # Stable sort: equal-time arrivals keep trace order.
-                self._arrival_stream.sort(key=lambda request: request.arrival_time)
-            else:
-                # Without an immediate run the arrivals must live on the event
-                # queue so a later engine.run() still sees them.  Schedule
-                # them eagerly in trace order — this cold path trades the
-                # small-heap optimization for exactly the original eager
-                # sequence-number semantics (tied timestamps included).
-                for request in pending:
-                    self.engine.schedule_at(
-                        request.arrival_time, lambda sim, r=request: self._on_arrival(r)
-                    )
-        if run:
-            return self.run()
-        return self.report(wall_clock_s=0.0)
+            self._arrival_stream.extend(pending)
+            # Stable sort: equal-time arrivals keep trace order.
+            self._arrival_stream.sort(key=lambda request: request.arrival_time)
+        return self.run()
 
     def _replay_columnar(self, trace: RequestTrace) -> SimulationReport:
         """Array fast path of :meth:`replay`: lazy per-arrival materialization.
@@ -618,7 +620,9 @@ class MultiCellSimulator:
         num_tokens = self.config.num_tokens
         retain = self.config.retain_requests
         requests_list = self.requests
-        arrive = self._on_arrival
+        resolve = self.mobility.resolve
+        cells = self.cells
+        arrive = self._arrive
         # Per-request string formatting hoisted out of the event loop: the
         # label tables are num_users/num_domains entries, not num_requests.
         user_labels = [f"user_{index}" for index in range(int(user_indices.max()) + 1)]
@@ -630,11 +634,12 @@ class MultiCellSimulator:
             delivered = index + 1
             position = index if order is None else int(order[index])
             domain_index = domain_indices[position]
+            user_id = user_labels[user_indices[position]]
             # sim.now is exactly float(sorted_times[index]) — the engine set
             # the clock to this arrival before invoking the callback.
             request = Request(
                 base + position + 1,
-                user_labels[user_indices[position]],
+                user_id,
                 domain_names[domain_index],
                 keys[domain_index],
                 sim.now,
@@ -642,7 +647,9 @@ class MultiCellSimulator:
             )
             if retain:
                 requests_list.append(request)
-            arrive(request)
+            cell_name, moved = resolve(user_id)
+            request.cell = cell_name
+            arrive(request, cells[cell_name], moved)
 
         try:
             self.engine.run_stream(sorted_times, on_stream_item, presorted=True)
@@ -711,142 +718,114 @@ class MultiCellSimulator:
     # Lifecycle stages
     # ------------------------------------------------------------------ #
     def _on_arrival(self, request: Request) -> None:
+        """Arrival of a submitted or object-stream request: resolve its cell."""
         cell_name, moved = self.mobility.resolve(request.user_id)
-        cell = self.cells[cell_name]
         request.cell = cell_name
-        if self._resilience is not None:
-            self._on_arrival_resilient(request, cell, moved)
-            return
-        if self._placement is not None:
-            self._on_arrival_placed(request, cell, moved)
-            return
-        if cell.failed:
+        placement = self._placement
+        if placement is not None and not placement.prepared:
+            # submit()/run() path without a replay(): no trace to estimate
+            # demand from, prepare with live state only.
+            placement.prepare(self, None)
+        self._arrive(request, self.cells[cell_name], moved)
+
+    def _arrive(self, request: Request, cell: Cell, moved) -> None:
+        """Arrival stage: hedge timer, failover check, handover, routing.
+
+        ``cell`` is the serving cell and ``moved`` the mobility verdict:
+        ``None`` when the user stayed put, else any marker of the move
+        (:data:`FAILED_OVER` also counts the arrival as a failover).  A
+        serving cell that is down — or, under a resilience policy, whose
+        breaker is open — fails the request over.  A placement policy routes
+        it after ``mobility.resolve`` and consumes no RNG, so a ``naive``
+        placement replay is metric-identical to no placement at all; serving
+        away from the serving cell charges the backhaul for the request
+        payload (``forward_bytes``) on top of any handover delay, while the
+        response downlink is billed at the executing cell as usual.
+        """
+        policy = self._resilience
+        if policy is not None:
+            if policy.hedge_delay_s is not None:
+                self.engine.post(
+                    policy.hedge_delay_s, lambda sim, r=request: self._maybe_hedge(r)
+                )
+            if cell.failed or self._breaker_open(cell):
+                self._failover(request, cell)
+                return
+        elif cell.failed:
             # The serving cell is down: hand the user over to the nearest
             # alive neighbour (this also re-homes the user for later arrivals).
             self._failover(request, cell)
             return
-        if moved is not None:
-            request.handover = True
-            cell.stats.handovers_in += 1
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-                return
-        self._lookup(request, cell)
-
-    def _on_arrival_placed(self, request: Request, cell: Cell, moved) -> None:
-        """Arrival under a placement policy: route, forward, then look up.
-
-        Routing happens *after* ``mobility.resolve`` and consumes no RNG, so
-        a ``naive`` placement replay is metric-identical to no placement at
-        all.  Serving a request away from its serving cell charges the
-        backhaul for the request payload (``forward_bytes``) on top of any
-        mobility handover delay; the response downlink is billed at the
-        executing cell as usual.
-        """
-        placement = self._placement
-        if not placement.prepared:
-            # submit()/run() path without a replay(): no trace to estimate
-            # demand from, prepare with live state only.
-            placement.prepare(self, None)
-        if cell.failed:
-            self._failover(request, cell)
+        if moved is None and self._placement is None:
+            # Neither a handover nor a routing decision: straight to lookup.
+            self._lookup(request, cell)
             return
-        target = placement.route(self, request, cell)
         delay = 0.0
         if moved is not None:
             request.handover = True
             cell.stats.handovers_in += 1
+            if moved is FAILED_OVER:
+                cell.stats.failovers += 1
             delay = self.config.mobility.handover_delay_s
-        if target is not cell:
-            request.cell = target.name
-            placement.forwards += 1
-            forward_bytes = placement.spec.forward_bytes
-            if forward_bytes > 0:
-                delay += self.costs.transfer_time(cell.name, target.name, forward_bytes)
-                self.backhaul_bytes += forward_bytes
-        placement.admit(request, target.name)
+        placement = self._placement
+        if placement is not None:
+            target = placement.route(self, request, cell)
+            if target is not cell:
+                request.cell = target.name
+                placement.forwards += 1
+                forward_bytes = placement.spec.forward_bytes
+                if forward_bytes > 0:
+                    delay += self.costs.transfer_time(cell.name, target.name, forward_bytes)
+                    self.backhaul_bytes += forward_bytes
+                cell = target
+            placement.admit(request, cell.name)
         if delay > 0:
-            self.engine.post(delay, lambda sim, r=request, c=target: self._lookup(r, c))
+            self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
             return
-        self._lookup(request, target)
-
-    def _on_arrival_resilient(self, request: Request, cell: Cell, moved) -> None:
-        """Arrival under a policy: hedge timer, breaker-aware routing."""
-        policy = self._resilience
-        if policy.hedge_delay_s is not None:
-            self.engine.post(
-                policy.hedge_delay_s, lambda sim, r=request: self._maybe_hedge(r)
-            )
-        if cell.failed or self._breaker_open(cell):
-            self._failover(request, cell)
-            return
-        if moved is not None:
-            request.handover = True
-            cell.stats.handovers_in += 1
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-                return
         self._lookup(request, cell)
 
     def _failover(self, request: Request, from_cell: Cell) -> None:
-        """Re-home ``request`` from a failed cell to its nearest alive neighbour.
+        """Re-home ``request`` from a failed cell to the nearest routable cell.
 
-        Fallback candidates are the failed cell's backhaul-reachable neighbours
-        in increasing transfer-cost order (the cooperative-fetch ordering).  If
-        every one of them is down too the request is dropped — the only way a
-        request ever terminates unserved.  A failure handover charges the same
-        control-plane delay as a mobility handover.
-
-        Under a resilience policy the scan additionally skips breaker-open
-        cells, a dead end becomes a retry decision instead of an immediate
-        drop, and hedge twins never re-home the user's mobility placement
-        (the primary owns it).
+        If no candidate is left the request takes the terminal-failure step:
+        a drop (the only way a request ever terminates unserved without a
+        policy), or a retry decision under a resilience policy.
         """
-        if self._resilience is not None:
-            self._failover_resilient(request, from_cell)
-            return
-        fallback: Optional[Cell] = None
-        for neighbor in from_cell.neighbor_order:
-            if not neighbor.failed:
-                fallback = neighbor
-                break
+        fallback = self._failover_target(request, from_cell)
         if fallback is None:
-            request.status = DROPPED
-            from_cell.stats.dropped += 1
-            if self._placement is not None:
-                self._placement.release(request)
-            hook = self.on_request_end
-            if hook is not None:
-                hook(request)
-            return
+            self._drop_or_retry(request, from_cell)
+        else:
+            self._hand_over(request, fallback)
+
+    def _failover_target(self, request: Request, from_cell: Cell) -> Optional[Cell]:
+        """The first alive, breaker-closed candidate, nearest first.
+
+        Candidates are the failed cell's backhaul-reachable neighbours in
+        increasing transfer-cost order (the cooperative-fetch ordering); a
+        hedge twin scans :meth:`_hedge_candidates` instead.  Breakers are
+        consulted in candidate order, stopping at the first routable cell.
+        """
+        candidates = (
+            self._hedge_candidates(from_cell) if request.is_hedge else from_cell.neighbor_order
+        )
+        for neighbor in candidates:
+            if not neighbor.failed and not self._breaker_open(neighbor):
+                return neighbor
+        return None
+
+    def _hand_over(self, request: Request, fallback: Cell) -> None:
+        """Move a failed-over request to ``fallback`` and look it up there.
+
+        A failure handover charges the same control-plane delay as a mobility
+        handover and re-homes the user for later arrivals — except for hedge
+        twins, whose primary owns the user's placement.
+        """
         request.handover = True
         request.cell = fallback.name
         fallback.stats.handovers_in += 1
         fallback.stats.failovers += 1
         if self._placement is not None:
             self._placement.rehome(request, fallback.name)
-        self.mobility.place(request.user_id, fallback.name)
-        delay = self.config.mobility.handover_delay_s
-        if delay > 0:
-            self.engine.post(delay, lambda sim, r=request, c=fallback: self._lookup(r, c))
-        else:
-            self._lookup(request, fallback)
-
-    def _failover_resilient(self, request: Request, from_cell: Cell) -> None:
-        fallback: Optional[Cell] = None
-        for neighbor in from_cell.neighbor_order:
-            if not neighbor.failed and not self._breaker_open(neighbor):
-                fallback = neighbor
-                break
-        if fallback is None:
-            self._drop_or_retry(request, from_cell)
-            return
-        request.handover = True
-        request.cell = fallback.name
-        fallback.stats.handovers_in += 1
-        fallback.stats.failovers += 1
         if not request.is_hedge:
             self.mobility.place(request.user_id, fallback.name)
         delay = self.config.mobility.handover_delay_s
@@ -856,6 +835,7 @@ class MultiCellSimulator:
             self._lookup(request, fallback)
 
     def _lookup(self, request: Request, cell: Cell) -> None:
+        """Lookup stage: hit, coalesce onto an in-flight fetch, or start one."""
         if cell.failed:
             # The cell went down while this request was in a handover delay
             # (or mid-failover chain); keep falling over until an alive cell
@@ -883,47 +863,50 @@ class MultiCellSimulator:
             return
         request.status = FETCHING
         cell.inflight[key] = [request]
-        spec = self._domain_info[request.domain][2]
-        self._begin_fetch(request, cell, key, spec)
+        self._fetch(request, cell, key)
 
-    def _begin_fetch(self, request: Request, cell: Cell, key: str, spec: ModelSpec) -> None:
-        """Start the model fetch for a fresh miss (waiters already registered).
+    def _fetch(self, request: Request, cell: Cell, key: str) -> None:
+        """Fetch stage of a fresh miss (its waiter list is already registered).
 
-        Extracted from :meth:`_lookup` so backends with a wider notion of
-        "source" (the sharded backend consults a cross-shard cache directory)
-        can override fetch routing without touching the hit/coalesce path.
+        The model comes from the cooperative source :meth:`_find_source`
+        names — a backhaul copy, with the source entry pinned against
+        eviction until it lands — or from the cloud (WAN transfer plus the
+        model's rebuild cost).  Either way the fetch is one engine event.
         """
-        source = self._find_source_cell(cell, key)
-        epoch = cell.failure_epoch
-        if source is not None:
+        spec = self._domain_info[request.domain][2]
+        source_name, source = self._find_source(cell, key)
+        if source_name is not None:
             cell.stats.neighbor_fetches += 1
             request.cache_outcome = NEIGHBOR_FETCH
-            source.cache.pin(key)
-            delay = self.costs.transfer_time(source.name, cell.name, spec.size_bytes)
+            if source is not None:
+                source.cache.pin(key)
+            delay = self.costs.transfer_time(source_name, cell.name, spec.size_bytes)
             self.backhaul_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, s=source, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=s, epoch=e
-                ),
-            )
         else:
             cell.stats.cloud_fetches += 1
             request.cache_outcome = CLOUD_FETCH
             delay = spec.build_cost_s + self.costs.transfer_time(CLOUD, cell.name, spec.size_bytes)
             self.cloud_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=None, epoch=e
-                ),
-            )
+        epoch = cell.failure_epoch
+        self.engine.post(
+            delay,
+            lambda sim, c=cell, k=key, m=spec, s=source, e=epoch: self._fetch_done(
+                c, k, m, source=s, epoch=e
+            ),
+        )
 
-    def _find_source_cell(self, cell: Cell, key: str) -> Optional[Cell]:
+    def _find_source(self, cell: Cell, key: str) -> Tuple[Optional[str], Optional[Cell]]:
+        """Cooperative source of a miss at ``cell``: ``(name, cell to pin)``.
+
+        The nearest alive neighbour holding ``key``, or ``(None, None)`` to
+        fetch from the cloud.  Overridable: a backend that knows of caches it
+        does not serve (the sharded directory) names a source with no cell
+        to pin.
+        """
         for neighbor in cell.neighbor_order:
             if not neighbor.failed and neighbor.cache.peek(key) is not None:
-                return neighbor
-        return None
+                return neighbor.name, neighbor
+        return None, None
 
     def _fetch_done(
         self, cell: Cell, key: str, spec: ModelSpec, source: Optional[Cell], epoch: int = 0
@@ -1013,8 +996,9 @@ class MultiCellSimulator:
 
     def _complete(self, cell: Cell, requests: List[Request]) -> None:
         if self._resilience is not None:
-            self._complete_resilient(cell, requests)
-            return
+            requests = self._settle_hedges(cell, requests)
+            if not requests:
+                return
         now = self.engine.now
         record = self.latency.record
         hook = self.on_request_end

@@ -178,13 +178,12 @@ class VectorizedSimulator:
     # ------------------------------------------------------------------ #
     # Replay entry point
     # ------------------------------------------------------------------ #
-    def replay(self, trace, run: bool = True) -> SimulationReport:
-        blocker = self._fast_path_blocker(trace, run)
+    def replay(self, trace) -> SimulationReport:
+        blocker = self._fast_path_blocker(trace)
         if blocker is not None:
             self.fallback_reason = blocker
-            report = self._inner.replay(trace, run=run)
-            if run:
-                self._timeline.clear()
+            report = self._inner.replay(trace)
+            self._timeline.clear()
             return report
         self.fallback_reason = None
         if self._cross_check:
@@ -194,7 +193,7 @@ class VectorizedSimulator:
                 return self._validate(trace, signature)
             if verdict is False:
                 self.fallback_reason = "cross-check divergence recorded for this signature"
-                report = self._inner.replay(trace, run=True)
+                report = self._inner.replay(trace)
                 self._timeline.clear()
                 return report
         timeline = list(self._timeline)
@@ -206,10 +205,8 @@ class VectorizedSimulator:
     # ------------------------------------------------------------------ #
     # Eligibility
     # ------------------------------------------------------------------ #
-    def _fast_path_blocker(self, trace, run: bool) -> Optional[str]:
+    def _fast_path_blocker(self, trace) -> Optional[str]:
         """Why this replay cannot take the kernel (``None`` when it can)."""
-        if not run:
-            return "run=False replays schedule eagerly on the engine heap"
         if not isinstance(trace, RequestTrace) or not trace.is_columnar:
             return "object traces take the serial per-request path"
         if len(trace.timestamps) == 0:
@@ -327,10 +324,10 @@ class VectorizedSimulator:
         collect = _submit_shadow(job)
         if collect is None:
             fast_report = _shadow_or_none(job)
-            serial_report = self._inner.replay(trace, run=True)
+            serial_report = self._inner.replay(trace)
         else:
             try:
-                serial_report = self._inner.replay(trace, run=True)
+                serial_report = self._inner.replay(trace)
             finally:
                 # Read the helper's report even if the serial replay raised,
                 # so no job outlives this call.

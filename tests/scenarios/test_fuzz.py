@@ -111,8 +111,8 @@ class TestCheckCase:
 
         original = MultiCellSimulator.replay
 
-        def lying_replay(self, trace, run=True):
-            report = original(self, trace, run)
+        def lying_replay(self, trace):
+            report = original(self, trace)
             object.__setattr__(report, "completed", report.completed + 1)
             return report
 

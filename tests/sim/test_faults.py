@@ -283,10 +283,11 @@ class TestCellFailure:
             CacheEntry(key=key, kind=GENERAL_MODEL, domain="domain_0", size_bytes=spec.size_bytes)
         )
         cell_0 = simulator.cells["cell_0"]
-        assert simulator._find_source_cell(cell_0, key) is simulator.cells["cell_2"]
+        name, source = simulator._find_source(cell_0, key)
+        assert name == "cell_2" and source is simulator.cells["cell_2"]
         # Flag the holder as failed without wiping, to isolate the guard.
         simulator.cells["cell_2"].failed = True
-        assert simulator._find_source_cell(cell_0, key) is None
+        assert simulator._find_source(cell_0, key) == (None, None)
 
 
 class TestLinkAndCapacityEvents:

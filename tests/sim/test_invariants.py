@@ -23,6 +23,7 @@ from repro.sim.invariants import (
     audit_simulator,
     expected_fault_state,
 )
+from repro.sim.placement import PlacementSpec
 from repro.sim.request import COMPLETED, DROPPED, LOCAL_HIT, UNSET, Request
 
 
@@ -172,6 +173,12 @@ class TestAuditSimulator:
         audit_simulator(result.simulator)
         result.simulator.audit_invariants()  # the method form is equivalent
 
+    @pytest.mark.parametrize("prewarm", [False, True])
+    @pytest.mark.parametrize("policy", ["naive", "shortest-queue", "max-flow"])
+    def test_clean_placed_replay_passes(self, policy, prewarm):
+        spec = tiny_spec(placement=PlacementSpec(policy=policy, prewarm=prewarm))
+        audit_simulator(run_scenario(spec, seed=0, backend="serial").simulator)
+
     def test_leaked_pin_detected(self):
         result = run_scenario(tiny_spec(), seed=0, backend="serial")
         sim = result.simulator
@@ -222,6 +229,28 @@ class TestAuditSimulator:
         with pytest.raises(InvariantViolation, match="over budget"):
             audit_simulator(sim)
         audit_simulator(sim, allow_over_budget=True)
+
+    def test_placed_drops_release_their_counters(self):
+        # Every request is placed at cell_0, the only cell up, and waits on
+        # its cold cloud fetches; when cell_0 fails too, those placed
+        # requests have nowhere to go and drop, as does every later arrival.
+        events = [
+            FaultEvent(time_s=0.0, kind=CELL_FAIL, cell="cell_1"),
+            FaultEvent(time_s=0.0, kind=CELL_FAIL, cell="cell_2"),
+            FaultEvent(time_s=1.0, kind=CELL_FAIL, cell="cell_0"),
+        ]
+        spec = tiny_spec(events=events, placement=PlacementSpec(policy="shortest-queue"))
+        result = run_scenario(spec, seed=0, backend="serial")
+        assert result.report.cloud_bytes > 0
+        assert result.report.dropped == int(result.summary["requests"]) > 0
+        audit_simulator(result.simulator)
+
+    def test_leaked_placement_counter_detected(self):
+        spec = tiny_spec(placement=PlacementSpec(policy="shortest-queue"))
+        sim = run_scenario(spec, seed=0, backend="serial").simulator
+        sim._placement.outstanding["cell_0"] += 1
+        with pytest.raises(InvariantViolation, match="placement outstanding"):
+            audit_simulator(sim)
 
 
 class TestExpectedFaultState:

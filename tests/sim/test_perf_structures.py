@@ -187,24 +187,6 @@ class TestReplayPaths:
         report = simulator.run()
         assert report.completed == 300
 
-    def test_replay_then_run_matches_deferred_engine_run(self):
-        """run=False must leave arrivals on the queue for a later engine.run()."""
-        direct = self._simulator()
-        report_direct = direct.replay(self._trace())
-
-        deferred = self._simulator()
-        deferred.replay(self._trace(), run=False)
-        assert deferred.engine.pending() > 0
-        deferred.engine.run()
-        report_deferred = deferred.report(wall_clock_s=0.0)
-
-        assert report_deferred.completed == report_direct.completed == 300
-        assert report_deferred.latency == report_direct.latency
-        assert report_deferred.hit_ratio == report_direct.hit_ratio
-        # Stream-fed arrivals count as engine events exactly like the deferred
-        # path's chain-fed arrival events: every arrival is one event in both.
-        assert report_deferred.events_processed == report_direct.events_processed
-
 
 class TestLatencyReservoir:
     def test_exact_under_threshold(self):

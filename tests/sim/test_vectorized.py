@@ -454,7 +454,7 @@ def test_serial_failure_still_reads_the_helper_report(helper_path, monkeypatch, 
 
         return recording_collect
 
-    def failing_replay(trace, run=True):
+    def failing_replay(trace):
         raise RuntimeError("injected serial fault")
 
     monkeypatch.setattr(vectorized_module, "_submit_shadow", recording_submit)
