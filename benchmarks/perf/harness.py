@@ -244,15 +244,14 @@ def bench_engine(scale: float = 1.0, repeats: int = 3) -> Dict[str, float]:
     return _best_of(round_, repeats)
 
 
-def bench_e9_replay(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
-    """End-to-end wall clock of one E9 row: 4 cells, 50k Poisson requests, batch-8.
+def _e9_replay(scale: float, repeats: int, batching) -> Dict[str, float]:
+    """Wall clock of one E9 row (4 cells, 50k Poisson requests) under ``batching``.
 
     Trace generation is excluded from the timed region: the benchmark isolates
     the simulator (engine + caches + batching + links), which is the hot path
     the ROADMAP cares about.  The latency percentiles and hit ratio are
     reported so regressions in *behaviour* (not just speed) stand out.
     """
-    from repro.sim.batching import BatchingConfig
     from repro.sim.multicell import CellConfig, default_catalogue
     from repro.sim.simulator import MultiCellSimulator, SimulatorConfig
     from repro.workloads.generator import ArrivalTraceGenerator
@@ -269,7 +268,7 @@ def bench_e9_replay(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
         seed=0,
     )
     trace = generator.generate(num_requests)
-    config = SimulatorConfig(batching=BatchingConfig(max_batch_size=8, max_wait_s=0.005, amortization=0.4))
+    config = SimulatorConfig(batching=batching)
 
     def round_() -> Dict[str, float]:
         cells = [CellConfig(name=f"cell_{index}") for index in range(4)]
@@ -292,6 +291,27 @@ def bench_e9_replay(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
         }
 
     return _best_of(round_, repeats)
+
+
+def bench_e9_replay(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
+    """End-to-end wall clock of one E9 row: 4 cells, 50k Poisson requests, batch-8."""
+    from repro.sim.batching import BatchingConfig
+
+    batching = BatchingConfig(max_batch_size=8, max_wait_s=0.005, amortization=0.4)
+    return _e9_replay(scale, repeats, batching)
+
+
+def bench_e9_replay_unbatched(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
+    """The :func:`bench_e9_replay` row with e9's unbatched policy.
+
+    Every request is its own batch, so the per-batch chain (close, execute,
+    post the completion) runs once per request: e9's unbatched rows take most
+    of its replay time.  Recorded as a trajectory, not gated.
+    """
+    from repro.sim.batching import BatchingConfig
+
+    batching = BatchingConfig(max_batch_size=1, max_wait_s=0.0, amortization=1.0)
+    return _e9_replay(scale, repeats, batching)
 
 
 def bench_e9_replay_vectorized(scale: float = 1.0, repeats: int = 2) -> Dict[str, float]:
@@ -579,6 +599,7 @@ def run_all(scale: float = 1.0, repeats: int = 3) -> Dict[str, object]:
         "cache": bench_cache(scale, repeats),
         "sim_engine": bench_engine(scale, repeats),
         "e9_replay": bench_e9_replay(scale, max(repeats - 1, 1)),
+        "e9_replay_unbatched": bench_e9_replay_unbatched(scale, max(repeats - 1, 1)),
         "e9_replay_vectorized": bench_e9_replay_vectorized(scale, repeats),
         "cohort_kernel": bench_cohort_kernel(scale, repeats),
         "latency_record": bench_latency_record(scale, repeats),

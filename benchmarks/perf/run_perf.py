@@ -151,8 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"results written to {args.output}")
     sections = ("tensor_inference", "tensor_training", "codec_training", "sim_engine",
-                "e9_replay", "e9_replay_vectorized", "cohort_kernel", "latency_record",
-                "trace_generation", "suite_parallel")
+                "e9_replay", "e9_replay_unbatched", "e9_replay_vectorized", "cohort_kernel",
+                "latency_record", "trace_generation", "suite_parallel")
     for section in sections:
         metrics = current[section]
         rate_key = next(key for key in metrics if key.endswith("_per_sec"))

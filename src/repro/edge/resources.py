@@ -40,8 +40,14 @@ class ComputeResource:
         Returns ``(start_time, finish_time)`` accounting for queueing behind
         earlier tasks (single-server FIFO discipline).
         """
-        start = max(now, self.busy_until)
-        duration = self.service_time(flops)
+        # service_time() inlined: this runs once per batch in a replay.  The
+        # conditional is max(now, busy_until) with the same tie rule: the
+        # first argument wins unless the second is greater.
+        if flops < 0:
+            raise ValueError(f"flops must be non-negative, got {flops}")
+        busy_until = self.busy_until
+        start = busy_until if busy_until > now else now
+        duration = flops / self.flops_per_second
         finish = start + duration
         self.busy_until = finish
         self.completed_tasks += 1

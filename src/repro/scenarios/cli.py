@@ -172,12 +172,18 @@ def _run_fuzz(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
     print(f"FAILED: {outcome.error}")
     print(f"shrunk failing spec: {outcome.failure_spec.name}")
+    if outcome.shrink_capped:
+        print(
+            "shrinking stopped at hypothesis's five-minute cap: this spec is "
+            "not fully shrunk, and how far shrinking gets depends on host speed"
+        )
     if outcome.regression_path is not None:
         print(f"regression saved to {outcome.regression_path}")
         print(
             "replay it with: PYTHONPATH=src python -m pytest "
             "tests/scenarios/test_regressions.py, or re-run this exact command "
-            f"(--seed {outcome.seed} regenerates the same cases)"
+            f"(--seed {outcome.seed} regenerates the same cases; the shrunk spec "
+            "can differ when shrinking hits the cap)"
         )
     return 1
 

@@ -49,6 +49,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck
 from hypothesis import seed as hypothesis_seed
 from hypothesis import given, settings
+from hypothesis.reporting import current_reporter, with_reporter
 
 from repro.caching.policies import available_policies
 from repro.runtime import SeedTree
@@ -565,6 +566,11 @@ def iter_regressions(directory) -> List[Path]:
 # --------------------------------------------------------------------- #
 # The fuzz driver
 # --------------------------------------------------------------------- #
+#: What Hypothesis reports when shrinking stops at its wall-clock cap
+#: (``MAX_SHRINKING_SECONDS``, five minutes).
+SHRINK_CAP_REPORT = "spent more than five minutes working to shrink"
+
+
 @dataclass(frozen=True)
 class FuzzOutcome:
     """What one fuzz run did and found."""
@@ -576,6 +582,9 @@ class FuzzOutcome:
     failure_spec: Optional[ScenarioSpec]
     error: Optional[str]
     regression_path: Optional[Path]
+    #: Shrinking stopped at Hypothesis's time cap, so the reported spec is
+    #: not fully shrunk and how far shrinking got depends on host speed.
+    shrink_capped: bool = False
 
     @property
     def ok(self) -> bool:
@@ -598,7 +607,10 @@ def fuzz(
     hypothesis shrinks the spec to a minimal failing example, which is
     serialized into ``regressions_dir`` (when given) in the corpus format.
     The shrunk spec — not the original — is what gets reported and saved:
-    the minimal example re-executes last during shrinking.
+    the minimal example re-executes last during shrinking.  Shrinking has a
+    wall-clock cap, so the same ``seed`` finds the same first failure but may
+    shrink it to a different spec on a faster or slower host;
+    ``shrink_capped`` says when the cap was hit.
     """
     generation_seed = SeedTree(seed).child("fuzz").seed("hypothesis")
     executed = 0
@@ -629,8 +641,18 @@ def fuzz(
             last_failure["error"] = f"{type(error).__name__}: {error}"
             raise
 
+    forward = current_reporter()
+    shrink_capped = False
+
+    def reporter(text: str) -> None:
+        nonlocal shrink_capped
+        if SHRINK_CAP_REPORT in text:
+            shrink_capped = True
+        forward(text)
+
     try:
-        property_()
+        with with_reporter(reporter):
+            property_()
     except Exception:
         spec = last_failure["spec"]
         error = str(last_failure["error"])
@@ -654,6 +676,7 @@ def fuzz(
             failure_spec=spec,
             error=error,
             regression_path=path,
+            shrink_capped=shrink_capped,
         )
     return FuzzOutcome(
         cases=cases,

@@ -80,6 +80,8 @@ class BatchAccumulator:
         # request in the replay hot loop.
         self._max_size = self.config.max_batch_size
         self._max_wait = self.config.max_wait_s
+        #: Every addition closes its own batch (unbatched execution).
+        self._singleton = self._max_size == 1 or self._max_wait == 0.0
         #: Absolute deadline of the currently open batch (None when empty).
         self.deadline: Optional[float] = None
         #: Bumped on every flush; timeout events compare generations so a
@@ -94,7 +96,16 @@ class BatchAccumulator:
 
         When the returned value is ``None`` and ``len(self) == 1``, the
         caller should arrange a flush at :attr:`deadline`.
+
+        Under unbatched execution (``max_batch_size == 1`` or ``max_wait_s
+        == 0``) the one-item batch is returned directly, without the open
+        batch's lists or :meth:`flush`: its cost ``batch_flops([flops], a)``
+        is ``flops`` itself (for any finite ``flops``), and the generation
+        still bumps once per batch.
         """
+        if self._singleton:
+            self.generation += 1
+            return Batch([item], flops, now)
         items = self._items
         if not items:
             self._opened_at = now

@@ -10,22 +10,27 @@ small E7/E8 sweeps; it now also drives the multi-cell request simulator
 (:mod:`repro.sim.simulator`), which replays hundreds of thousands of requests
 in one process.  Hot-path choices that keep it fast at that scale:
 
-* Heap items are ``(time, sequence, payload)`` tuples, so ``heapq`` sift
-  comparisons resolve on the first two elements in C instead of calling a
-  Python ``__lt__`` (which dominated profiles of 200k-request replays).
-* The payload is the bare action callable for fire-and-forget events
-  (:meth:`post`), and a cancellable :class:`_ScheduledEvent` handle only when
-  the caller asked for one (:meth:`schedule`).
+* Heap items are ``(time, sequence, action, args)`` tuples, so ``heapq``
+  sift comparisons resolve on the first two elements in C instead of calling
+  a Python ``__lt__`` (which dominated profiles of 200k-request replays).
+* Fire-and-forget events (:meth:`post`) carry the callable and its argument
+  tuple, called as ``action(*args)``: a bound method and its arguments, with
+  no closure allocated per event.  A cancellable :class:`_ScheduledEvent`
+  handle (``args`` is ``None``) exists only when the caller asked for one
+  (:meth:`schedule`); its action is called as ``action(sim)``.
 * :meth:`pending` reads a live counter maintained on schedule/cancel/pop
   instead of scanning the whole heap — run loops poll it.
 * :meth:`run` inlines the pop loop (no per-event :meth:`step` call, no
   :class:`EventRecord` allocation unless tracing is on) and pauses the cyclic
-  garbage collector for its duration: events, requests and closures die by
-  reference counting, and generation-0 scans otherwise trigger thousands of
-  times across a long replay.
+  garbage collector for its duration: events, requests and argument tuples
+  die by reference counting, and generation-0 scans otherwise trigger
+  thousands of times across a long replay.
 * :meth:`run_stream` merges a time-sorted arrival stream into the run loop
   without the stream ever touching the heap, so replaying a 50k-request trace
-  keeps the heap at the size of the genuinely concurrent work.
+  keeps the heap at the size of the genuinely concurrent work.  The loop
+  reads the stream in blocks of :data:`STREAM_BLOCK` Python floats (one
+  ``tolist()`` per block, not a numpy scalar per arrival) and, before each
+  arrival, drains only the heap events that come first.
 
 For large runs construct the simulation with ``trace=False`` so the per-event
 :class:`EventRecord` history is not accumulated.
@@ -34,13 +39,33 @@ For large runs construct the simulation with ``trace=False`` so the per-event
 from __future__ import annotations
 
 import gc
-import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from itertools import chain, repeat
+from math import inf
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
 
 EventAction = Callable[["Simulation"], None]
+
+#: Stream timestamps the merged run loop converts to Python floats at a time.
+#: A bounded block keeps memory flat at any stream length.
+STREAM_BLOCK = 1024
+
+
+def _stream_blocks(times: Sequence[float], start: int, stop: int) -> Iterator[List[float]]:
+    """``times[start:stop]`` as lists of Python floats, one block at a time.
+
+    The values are what ``float(times[i])`` returns, so the virtual clock is a
+    plain Python float on every path; a numpy array converts each block in
+    one ``tolist()`` call instead of boxing one scalar per arrival.
+    """
+    numpy_times = hasattr(times, "dtype")
+    for low in range(start, stop, STREAM_BLOCK):
+        block = times[low : min(low + STREAM_BLOCK, stop)]
+        yield block.astype(float, copy=False).tolist() if numpy_times else list(map(float, block))
 
 
 class _ScheduledEvent:
@@ -95,7 +120,9 @@ class Simulation:
     def __init__(self, trace: bool = True) -> None:
         self.now: float = 0.0
         self.trace = trace
-        self._queue: List[Tuple[float, int, _ScheduledEvent]] = []
+        #: ``(time, sequence, action, args)``; ``args`` is ``None`` for a
+        #: cancellable handle from :meth:`schedule` (``action`` is the handle).
+        self._queue: List[Tuple[float, int, Any, Optional[tuple]]] = []
         self._sequence: int = 0
         self._live: int = 0
         self.processed: List[EventRecord] = []
@@ -112,7 +139,7 @@ class Simulation:
         time = self.now + delay
         self._sequence += 1
         event = _ScheduledEvent(time, self._sequence, action, label, self)
-        heapq.heappush(self._queue, (time, self._sequence, event))
+        heappush(self._queue, (time, self._sequence, event, None))
         self._live += 1
         return event
 
@@ -122,17 +149,20 @@ class Simulation:
             raise SimulationError(f"cannot schedule at {time} before current time {self.now}")
         return self.schedule(time - self.now, action, label=label)
 
-    def post(self, delay: float, action: EventAction) -> None:
+    def post(self, delay: float, action: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no cancellable handle, no label.
 
         The hot-path variant for events that are never cancelled (the vast
-        majority in a large replay): the bare callable goes on the heap, so no
-        per-event handle object is allocated.
+        majority in a large replay).  ``action(*args)`` runs at ``now +
+        delay``; unlike :meth:`schedule`, the action does not receive the
+        simulation.  The callable and its argument tuple go on the heap as
+        they are, so posting a bound method allocates no closure and no
+        per-event handle.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        self._sequence += 1
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, action))
+        self._sequence = sequence = self._sequence + 1
+        heappush(self._queue, (self.now + delay, sequence, action, args))
         self._live += 1
 
     @staticmethod
@@ -149,19 +179,20 @@ class Simulation:
         """Process the next event; returns its record or ``None`` when empty."""
         queue = self._queue
         while queue:
-            time, _, payload = heapq.heappop(queue)
-            if payload.__class__ is _ScheduledEvent:
-                payload._queued = False
-                if payload.cancelled:
+            time, _, action, args = heappop(queue)
+            if args is None:
+                action._queued = False
+                if action.cancelled:
                     continue
-                action, label = payload.action, payload.label
+                label = action.label
+                action, args = action.action, (self,)
             else:
-                action, label = payload, ""
+                label = ""
             if time < self.now:
                 raise SimulationError("event queue became unordered")
             self.now = time
             self._live -= 1
-            action(self)
+            action(*args)
             self.events_processed += 1
             record = EventRecord(time=time, label=label)
             if self.trace:
@@ -174,8 +205,8 @@ class Simulation:
         ``max_events`` have been processed.  Returns the number processed.
 
         The cyclic garbage collector is paused for the duration of the loop
-        (restored on exit): event tuples, closures and requests are acyclic
-        and die by reference counting, while generation-0 scans would
+        (restored on exit): event tuples, argument tuples and requests are
+        acyclic and die by reference counting, while generation-0 scans would
         otherwise fire thousands of times across a 200k-event replay.
         """
         count, _ = self._run_merged((), None, until, max_events)
@@ -230,7 +261,9 @@ class Simulation:
 
         Processes heap events and stream items (``callback(sim, i)`` at
         ``times[i]``, starting from ``start_index``) up to and including
-        simulation time ``until``, then stops with the clock set to ``until``.
+        simulation time ``until``, then stops.  The clock moves to ``until``
+        when the next stream item or heap event (a cancelled one included)
+        lies beyond it; when nothing is left it stays at the last event.
         Returns ``(events_processed, next_start_index)`` so the caller can
         advance window by window — the sharded backend's conservative
         time-window loop.  ``boundary`` pins the sequence-number tie-break of
@@ -258,12 +291,15 @@ class Simulation:
     ) -> Tuple[int, int]:
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        if max_events is not None and max_events <= 0:
+            return 0, start_index
         self._running = True
         count = 0
         index = start_index
         num_stream = len(times)
+        stop = num_stream if until is None else bisect_right(times, until, min(index, num_stream))
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         trace = self.trace
         processed = self.processed
         # Events already on the heap hold sequence numbers <= this boundary;
@@ -273,60 +309,55 @@ class Simulation:
         # window so the tie-break stays consistent across the whole replay.
         if boundary is None:
             boundary = self._sequence
+        # A heap item sorts below the limit (t, boundary + 1) exactly when it
+        # runs before a stream item at t: it is earlier, or tied and scheduled
+        # before the run.  The last limit, the tail, admits every event up to
+        # ``until``, whatever its sequence number.
+        tail = (inf if until is None else until, inf)
+        limits = chain(
+            zip(chain.from_iterable(_stream_blocks(times, index, stop)), repeat(boundary + 1)),
+            (tail,),
+        )
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            while True:
-                if max_events is not None and count >= max_events:
-                    break
-                # float() also converts numpy scalars (a columnar replay hands
-                # the timestamp array in directly), keeping the virtual clock
-                # a plain Python float on every path.
-                stream_time = float(times[index]) if index < num_stream else None
-                if queue:
-                    head_time = queue[0][0]
-                    take_stream = stream_time is not None and (
-                        stream_time < head_time
-                        or (stream_time == head_time and queue[0][1] > boundary)
-                    )
-                    next_time = stream_time if take_stream else head_time
-                elif stream_time is not None:
-                    take_stream = True
-                    next_time = stream_time
-                else:
-                    break
-                if until is not None and next_time > until:
-                    self.now = until
-                    break
-                if take_stream:
-                    # Stream items never touched the heap, so no _live update.
-                    self.now = stream_time
-                    callback(self, index)
-                    index += 1
-                    self.events_processed += 1
+            for limit in limits:
+                while queue and queue[0] < limit:
+                    time, _, action, args = pop(queue)
+                    if args is None:
+                        # A handle from schedule(): skipped once cancelled.
+                        action._queued = False
+                        if action.cancelled:
+                            continue
+                        label = action.label
+                        action, args = action.action, (self,)
+                    else:
+                        label = ""
+                    self.now = time
+                    # Kept exact per event so pending() agrees with step()
+                    # semantics for actions that query it mid-run.
+                    self._live -= 1
+                    action(*args)
                     count += 1
                     if trace:
-                        processed.append(EventRecord(time=stream_time, label="arrival"))
-                    continue
-                time, _, payload = pop(queue)
-                if payload.__class__ is _ScheduledEvent:
-                    payload._queued = False
-                    if payload.cancelled:
-                        continue
-                    action, label = payload.action, payload.label
-                else:
-                    action, label = payload, ""
-                self.now = time
-                # Kept exact per event so pending()/events_processed agree
-                # with step() semantics for actions that query them mid-run.
-                self._live -= 1
-                action(self)
-                self.events_processed += 1
+                        processed.append(EventRecord(time=time, label=label))
+                    if count == max_events:
+                        return count, index
+                if limit is tail:
+                    break
+                # Stream items never touch the heap, so no _live update.
+                self.now = limit[0]
+                callback(self, index)
+                index += 1
                 count += 1
                 if trace:
-                    processed.append(EventRecord(time=time, label=label))
+                    processed.append(EventRecord(time=limit[0], label="arrival"))
+            if until is not None and (index < num_stream or queue):
+                # Stopped because the next item or event lies beyond until.
+                self.now = until
         finally:
+            self.events_processed += count
             if gc_was_enabled:
                 gc.enable()
             self._running = False

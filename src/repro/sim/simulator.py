@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from repro.edge.network import LinkSpec
 from repro.edge.resources import encode_flops
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.sim.batching import Batch, BatchingConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine import STREAM_BLOCK, Simulation
 from repro.sim.metrics import LatencyRecorder, SimulationReport
 from repro.sim.multicell import (
     CLOUD,
@@ -398,7 +399,7 @@ class MultiCellSimulator:
         delay = policy.backoff_s(
             attempt, self._resilience_seed, request.user_id, request.arrival_time
         )
-        self.engine.post(delay, lambda sim, r=request: self._retry(r))
+        self.engine.post(delay, self._retry, request)
 
     def _retry(self, request: Request) -> None:
         policy = self._resilience
@@ -626,19 +627,41 @@ class MultiCellSimulator:
         # Per-request string formatting hoisted out of the event loop: the
         # label tables are num_users/num_domains entries, not num_requests.
         user_labels = [f"user_{index}" for index in range(int(user_indices.max()) + 1)]
+        label_array = np.array(user_labels, dtype=object)
+
+        def arrival_blocks() -> Iterator[Iterable[Tuple[int, str, int]]]:
+            # (request id, user label, domain index) per arrival in stream
+            # order, converted to Python values one bounded block at a time
+            # (one tolist() per column per block, not a numpy scalar per
+            # column per arrival), so memory stays flat at any trace length.
+            for low in range(0, num_requests, STREAM_BLOCK):
+                high = min(low + STREAM_BLOCK, num_requests)
+                if order is None:
+                    positions = slice(low, high)
+                    ids: Iterable[int] = range(base + low + 1, base + high + 1)
+                else:
+                    positions = order[low:high]
+                    ids = (positions + (base + 1)).tolist()
+                yield zip(
+                    ids,
+                    label_array[user_indices[positions]].tolist(),
+                    domain_indices[positions].tolist(),
+                )
+
+        # The engine calls back once per index, in index order, so the
+        # callback walks the blocks with one iterator.
+        next_arrival = chain.from_iterable(arrival_blocks()).__next__
         delivered = 0
 
         def on_stream_item(sim: Simulation, index: int) -> None:
             nonlocal delivered
             # Delivered before processing, matching the object stream path.
             delivered = index + 1
-            position = index if order is None else int(order[index])
-            domain_index = domain_indices[position]
-            user_id = user_labels[user_indices[position]]
+            request_id, user_id, domain_index = next_arrival()
             # sim.now is exactly float(sorted_times[index]) — the engine set
             # the clock to this arrival before invoking the callback.
             request = Request(
-                base + position + 1,
+                request_id,
                 user_id,
                 domain_names[domain_index],
                 keys[domain_index],
@@ -745,9 +768,7 @@ class MultiCellSimulator:
         policy = self._resilience
         if policy is not None:
             if policy.hedge_delay_s is not None:
-                self.engine.post(
-                    policy.hedge_delay_s, lambda sim, r=request: self._maybe_hedge(r)
-                )
+                self.engine.post(policy.hedge_delay_s, self._maybe_hedge, request)
             if cell.failed or self._breaker_open(cell):
                 self._failover(request, cell)
                 return
@@ -780,7 +801,7 @@ class MultiCellSimulator:
                 cell = target
             placement.admit(request, cell.name)
         if delay > 0:
-            self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
+            self.engine.post(delay, self._lookup, request, cell)
             return
         self._lookup(request, cell)
 
@@ -830,7 +851,7 @@ class MultiCellSimulator:
             self.mobility.place(request.user_id, fallback.name)
         delay = self.config.mobility.handover_delay_s
         if delay > 0:
-            self.engine.post(delay, lambda sim, r=request, c=fallback: self._lookup(r, c))
+            self.engine.post(delay, self._lookup, request, fallback)
         else:
             self._lookup(request, fallback)
 
@@ -887,13 +908,7 @@ class MultiCellSimulator:
             request.cache_outcome = CLOUD_FETCH
             delay = spec.build_cost_s + self.costs.transfer_time(CLOUD, cell.name, spec.size_bytes)
             self.cloud_bytes += spec.size_bytes
-        epoch = cell.failure_epoch
-        self.engine.post(
-            delay,
-            lambda sim, c=cell, k=key, m=spec, s=source, e=epoch: self._fetch_done(
-                c, k, m, source=s, epoch=e
-            ),
-        )
+        self.engine.post(delay, self._fetch_done, cell, key, spec, source, cell.failure_epoch)
 
     def _find_source(self, cell: Cell, key: str) -> Tuple[Optional[str], Optional[Cell]]:
         """Cooperative source of a miss at ``cell``: ``(name, cell to pin)``.
@@ -965,10 +980,8 @@ class MultiCellSimulator:
         if batch is not None:
             self._execute_batch(cell, batch)
         elif len(cell.batcher) == 1:
-            generation = cell.batcher.generation
             self.engine.post(
-                self.config.batching.max_wait_s,
-                lambda sim, c=cell, g=generation: self._batch_timeout(c, g),
+                self.config.batching.max_wait_s, self._batch_timeout, cell, cell.batcher.generation
             )
 
     def _batch_timeout(self, cell: Cell, generation: int) -> None:
@@ -984,14 +997,14 @@ class MultiCellSimulator:
         # EdgeServer.execute: the latter retains a TaskResult per call, which
         # a 100k+-request replay has no use for (memory stays flat instead).
         start, finish = cell.server.compute.enqueue(now, batch.flops)
+        items = batch.items
         cell.stats.batches += 1
-        cell.stats.batched_requests += len(batch)
-        for request in batch.items:
+        cell.stats.batched_requests += len(items)
+        for request in items:
             request.compute_start_time = start
             request.compute_done_time = finish
         self.engine.post(
-            finish + self._downlink_time[cell.name] - now,
-            lambda sim, c=cell, items=batch.items: self._complete(c, items),
+            finish + self._downlink_time[cell.name] - now, self._complete, cell, items
         )
 
     def _complete(self, cell: Cell, requests: List[Request]) -> None:

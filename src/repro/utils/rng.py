@@ -15,8 +15,11 @@ import numpy as np
 
 SeedLike = Union[int, np.random.Generator, None]
 
-#: Values :class:`BlockDraws` draws per generator call.
+#: Values :class:`BlockDraws` draws per generator call, once grown.
 BLOCK_SIZE = 256
+#: Size of :class:`BlockDraws`' first block after a sync; each refill doubles
+#: it up to :data:`BLOCK_SIZE`.
+FIRST_BLOCK_SIZE = 16
 
 
 def new_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -51,7 +54,7 @@ class BlockDraws:
 
     A scalar numpy draw costs about 1 µs of call overhead (3 µs for
     ``integers``), which dominates a per-event hot path.  This helper draws
-    :data:`BLOCK_SIZE` values at once and hands them out one at a time,
+    up to :data:`BLOCK_SIZE` values at once and hands them out one at a time,
     bit-identically: ``draw(generator, position, count)`` must return what
     ``count`` successive scalar draws would, starting at stream position
     ``position`` (the constructor's ``position`` plus the values served so
@@ -62,7 +65,13 @@ class BlockDraws:
     The generator runs up to one block ahead of the values served.
     :meth:`sync` rewinds it to the exact position the scalar draws would have
     left it at and drops the rest of the block; call it before anything else
-    draws from or reads the generator.
+    draws from or reads the generator.  A sync wastes the dropped values and
+    costs a redraw of the consumed ones, so the first block after a sync (or
+    construction) holds :data:`FIRST_BLOCK_SIZE` values and each refill
+    doubles the size up to :data:`BLOCK_SIZE`: a caller that syncs often
+    (the mobility model, at every first-sight user) draws small blocks, one
+    that rarely syncs soon draws full ones.  The values served and the
+    generator's synced state do not depend on the block sizes.
     """
 
     def __init__(
@@ -80,6 +89,8 @@ class BlockDraws:
         self._block: list = []
         self._cursor = iter(self._block)
         self._next_value = self._cursor.__next__
+        #: Values the next refill draws.
+        self._size = FIRST_BLOCK_SIZE
 
     def next(self):
         """The next value, exactly as the next scalar draw would return it."""
@@ -92,7 +103,9 @@ class BlockDraws:
         generator = self.generator
         position = self._position + len(self._block)
         state = generator.bit_generator.state
-        block = self._draw(generator, position, BLOCK_SIZE).tolist()
+        size = self._size
+        block = self._draw(generator, position, size).tolist()
+        self._size = min(2 * size, BLOCK_SIZE)
         cursor = iter(block)
         self._position, self._state, self._block, self._cursor = position, state, block, cursor
         self._next_value = cursor.__next__
@@ -110,6 +123,7 @@ class BlockDraws:
         self._block = []
         self._cursor = iter(self._block)
         self._next_value = self._cursor.__next__
+        self._size = FIRST_BLOCK_SIZE
         return self.generator
 
     def take(self, count: int) -> np.ndarray:

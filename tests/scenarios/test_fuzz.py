@@ -159,6 +159,24 @@ class TestFuzzDriver:
         monkeypatch.undo()
         load_regression(outcome.regression_path).replay()
 
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_shrink_cap_is_reported(self, monkeypatch, capped):
+        # Every case fails at once, so shrinking finishes quickly unless the
+        # cap is set to zero, which stops it at its first step.
+        from hypothesis.internal.conjecture import engine
+
+        import repro.scenarios.fuzz as fuzz_module
+
+        def failing_case(spec, **kwargs):
+            raise InvariantViolation("seeded failure")
+
+        monkeypatch.setattr(fuzz_module, "check_case", failing_case)
+        if capped:
+            monkeypatch.setattr(engine, "MAX_SHRINKING_SECONDS", 0)
+        outcome = fuzz(cases=5, seed=0, differential=False)
+        assert not outcome.ok and "seeded failure" in outcome.error
+        assert outcome.shrink_capped is capped
+
 
 class TestRegressionCorpusFormat:
     def test_save_load_roundtrip(self, tmp_path):
@@ -207,6 +225,27 @@ class TestFuzzCli:
         assert code == 0
         assert "OK: 2 cases" in out
         assert "hypothesis generation seed" in out
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_cli_says_when_shrinking_hit_the_cap(self, tmp_path, capsys, monkeypatch, capped):
+        import repro.scenarios.fuzz as fuzz_module
+        from repro.scenarios.cli import main
+
+        outcome = fuzz_module.FuzzOutcome(
+            cases=2,
+            executed=9,
+            seed=4,
+            hypothesis_seed=1,
+            failure_spec=adversarial_spec(),
+            error="InvariantViolation: example",
+            regression_path=tmp_path / "case.json",
+            shrink_capped=capped,
+        )
+        monkeypatch.setattr(fuzz_module, "fuzz", lambda **kwargs: outcome)
+        assert main(["fuzz", "--cases", "2", "--seed", "4"]) == 1
+        out = capsys.readouterr().out
+        assert ("five-minute cap" in out) is capped
+        assert "--seed 4 regenerates the same cases; the shrunk spec can differ" in out
 
     def test_cli_rejects_bad_arguments(self):
         from repro.scenarios.cli import main

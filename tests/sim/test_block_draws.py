@@ -22,7 +22,7 @@ from repro.sim.metrics import LatencyRecorder
 from repro.sim.multicell import CellConfig, MobilityConfig, MobilityModel, default_catalogue
 from repro.sim.simulator import MultiCellSimulator
 from repro.sim.vectorized import VectorizedSimulator
-from repro.utils.rng import BlockDraws
+from repro.utils.rng import BLOCK_SIZE, FIRST_BLOCK_SIZE, BlockDraws
 from repro.workloads import ArrivalTraceGenerator
 
 DOMAINS = [f"domain_{index}" for index in range(6)]
@@ -198,6 +198,45 @@ def test_block_draws_take_and_next_interleave_like_scalar_draws():
         served.extend(draws.take(size).tolist())
     assert served == [generator.random() for _ in range(len(served))]
     assert draws.sync().bit_generator.state == generator.bit_generator.state
+
+
+def test_blocks_grow_after_a_sync_without_changing_the_values():
+    """Refills double from FIRST_BLOCK_SIZE to BLOCK_SIZE; a sync restarts them."""
+    sizes = []
+
+    def draw(generator, position, count):
+        sizes.append(count)
+        return generator.random(count)
+
+    reference = np.random.default_rng(11)
+    draws = BlockDraws(np.random.default_rng(11), draw)
+    served = [draws.next() for _ in range(2 * BLOCK_SIZE)]
+    grown = [FIRST_BLOCK_SIZE]
+    while grown[-1] < BLOCK_SIZE:
+        grown.append(min(2 * grown[-1], BLOCK_SIZE))
+    assert sizes[: len(grown)] == grown and set(sizes[len(grown) :]) == {BLOCK_SIZE}
+    sizes.clear()
+    draws.sync()  # mid-block: restores the saved state and redraws the consumed values
+    served.append(draws.next())
+    assert sizes[-1] == FIRST_BLOCK_SIZE
+    assert served == [reference.random() for _ in range(len(served))]
+    assert draws.sync().bit_generator.state == reference.bit_generator.state
+
+
+def test_mobility_pickles_mid_block_while_blocks_grow():
+    """A pickled mobility model continues the same coins after a sync."""
+    names = [f"cell_{index}" for index in range(3)]
+    users = [f"user_{index % 7}" for index in range(400)]
+    whole = MobilityModel(names, MobilityConfig(handover_probability=0.3), seed=21)
+    expected = [whole.resolve(user) for user in users]
+    split = MobilityModel(names, MobilityConfig(handover_probability=0.3), seed=21)
+    # The first sight of user_6 syncs at arrival 6; 20 arrivals later the
+    # model sits inside its second, still growing block.
+    served = [split.resolve(user) for user in users[:27]]
+    split = copy.deepcopy(pickle.loads(pickle.dumps(split)))
+    served.extend(split.resolve(user) for user in users[27:])
+    assert served == expected
+    assert split.rng.bit_generator.state == whole.rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------- #

@@ -46,7 +46,7 @@ class TestPendingCounter:
 
     def test_post_counts_as_pending(self):
         simulation = Simulation()
-        simulation.post(1.0, lambda s: None)
+        simulation.post(1.0, lambda s: None, simulation)
         assert simulation.pending() == 1
         simulation.run()
         assert simulation.pending() == 0
@@ -57,7 +57,7 @@ class TestPendingCounter:
         simulation = Simulation()
         observed = []
         for _ in range(3):
-            simulation.post(1.0, lambda s: observed.append(s.pending()))
+            simulation.post(1.0, lambda s: observed.append(s.pending()), simulation)
         simulation.run()
         assert observed == [2, 1, 0]
 
@@ -66,8 +66,8 @@ class TestPost:
     def test_posted_actions_run_in_time_order(self):
         simulation = Simulation()
         order = []
-        simulation.post(2.0, lambda s: order.append("late"))
-        simulation.post(1.0, lambda s: order.append("early"))
+        simulation.post(2.0, lambda s: order.append("late"), simulation)
+        simulation.post(1.0, lambda s: order.append("early"), simulation)
         simulation.schedule(1.5, lambda s: order.append("middle"))
         simulation.run()
         assert order == ["early", "middle", "late"]
@@ -75,7 +75,7 @@ class TestPost:
     def test_posted_action_visible_to_step(self):
         simulation = Simulation()
         seen = []
-        simulation.post(1.0, lambda s: seen.append(s.now))
+        simulation.post(1.0, lambda s: seen.append(s.now), simulation)
         record = simulation.step()
         assert seen == [1.0]
         assert record is not None and record.time == 1.0
@@ -83,6 +83,22 @@ class TestPost:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulation().post(-0.5, lambda s: None)
+
+    def test_step_runs_posted_action_with_its_args(self):
+        # post() stores the callable and its argument tuple; step() calls
+        # action(*args), without the simulation as an implicit argument.
+        simulation = Simulation(trace=True)
+        calls = []
+        simulation.post(1.0, lambda *args: calls.append(args), "a", 2)
+        simulation.post(2.0, lambda: calls.append("no args"))
+        record = simulation.step()
+        assert calls == [("a", 2)]
+        assert record is not None and (record.time, record.label) == (1.0, "")
+        assert simulation.events_processed == 1 and simulation.pending() == 1
+        simulation.step()
+        assert calls == [("a", 2), "no args"] and simulation.now == 2.0
+        assert simulation.step() is None
+        assert [record.label for record in simulation.processed] == ["", ""]
 
 
 class TestRunStream:
@@ -101,7 +117,7 @@ class TestRunStream:
             def arrival(sim: Simulation, index: int) -> None:
                 log.append(("arrival", index, sim.now))
                 extra = followups[index % len(followups)]
-                sim.post(extra, lambda s, i=index: log.append(("followup", i, s.now)))
+                sim.post(extra, lambda s, i: log.append(("followup", i, s.now)), sim, index)
 
             times = sorted(delays)
             if use_stream:
@@ -148,7 +164,7 @@ class TestRunStream:
         def arrival(sim: Simulation, index: int) -> None:
             order.append(f"stream-{index}")
             if index == 0:
-                sim.post(1.0, lambda s: order.append("posted"))  # fires at t=2.0
+                sim.post(1.0, lambda s: order.append("posted"), sim)  # fires at t=2.0
 
         simulation.run_stream([1.0, 2.0], arrival)
         assert order == ["stream-0", "stream-1", "posted"]
@@ -158,6 +174,162 @@ class TestRunStream:
         simulation.run_stream([1.0, 2.0], lambda s, i: None)
         assert [record.label for record in simulation.processed] == ["arrival", "arrival"]
         assert simulation.events_processed == 2
+
+
+#: Grid of the windowed differential: arrivals, heap events and follow-ups
+#: land on multiples of 0.25 s, so exact ties are common; window cuts land
+#: on multiples of 0.125 s, so a cut falls on an item, on a heap event or
+#: between them.
+_GRID = 0.25
+
+
+class TestRunStreamWindow:
+    """``run_stream_window`` chained over cut points vs one ``run_stream``
+    call vs eager ``schedule_at``: same event log, clock and count."""
+
+    @staticmethod
+    def _experiment(arrivals, followups, prescheduled, mode, cuts=(), numpy_times=False):
+        simulation = Simulation(trace=True)
+        log = []
+
+        def followup(index: int) -> None:
+            log.append(("followup", index, simulation.now))
+
+        def arrival(sim: Simulation, index: int) -> None:
+            log.append(("arrival", index, sim.now))
+            # Delay 0 posts at the arrival's own timestamp: it must run after
+            # every stream item stamped the same, as eager scheduling orders it.
+            sim.post(followups[index % len(followups)], followup, index)
+
+        handles = []
+
+        def pre_event(number: int, cancels_later: bool):
+            def action(sim: Simulation) -> None:
+                log.append(("pre", number, sim.now))
+                if cancels_later:
+                    # Cancelled mid-run: skipped and not counted.
+                    for handle in handles[number + 1 :]:
+                        Simulation.cancel(handle)
+
+            return action
+
+        for number, (time, state) in enumerate(prescheduled):
+            handles.append(
+                simulation.schedule_at(
+                    time, pre_event(number, state == "canceller"), label=f"pre-{number}"
+                )
+            )
+        for handle, (_, state) in zip(handles, prescheduled):
+            if state == "cancelled":
+                Simulation.cancel(handle)
+        times = np.array(arrivals) if numpy_times else list(arrivals)
+        windows = []
+        if mode == "eager":
+            for index, time in enumerate(arrivals):
+                simulation.schedule_at(time, lambda s, i=index: arrival(s, i))
+            simulation.run()
+        elif mode == "stream":
+            simulation.run_stream(times, arrival)
+        else:
+            boundary = simulation._sequence  # pinned across every window
+            next_index = 0
+            for until in (*cuts, None):
+                before = len(log)
+                count, next_index = simulation.run_stream_window(
+                    times, arrival, start_index=next_index, until=until, boundary=boundary
+                )
+                windows.append((until, count, len(log) - before, simulation.now, next_index))
+            assert next_index == len(arrivals)
+        return log, simulation, windows
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(min_value=0, max_value=4), max_size=25),
+        followups=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4),
+        prescheduled=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=24).map(lambda k: k * _GRID),
+                st.sampled_from(["live", "cancelled", "canceller"]),
+            ),
+            max_size=6,
+        ),
+        cut_steps=st.lists(st.integers(min_value=0, max_value=60), max_size=8),
+        numpy_times=st.booleans(),
+    )
+    def test_windows_match_one_stream_run_and_eager_scheduling(
+        self, gaps, followups, prescheduled, cut_steps, numpy_times
+    ):
+        arrivals = (np.cumsum(gaps, dtype=np.int64) * _GRID).tolist()
+        delays = [step * _GRID for step in followups]
+        cuts = sorted(step * (_GRID / 2) for step in cut_steps)
+
+        eager_log, eager, _ = self._experiment(arrivals, delays, prescheduled, "eager")
+        stream_log, stream, _ = self._experiment(
+            arrivals, delays, prescheduled, "stream", numpy_times=numpy_times
+        )
+        window_log, windowed, windows = self._experiment(
+            arrivals, delays, prescheduled, "windows", cuts=cuts, numpy_times=numpy_times
+        )
+
+        assert stream_log == eager_log
+        assert window_log == eager_log
+        assert stream.events_processed == eager.events_processed == len(eager_log)
+        assert windowed.events_processed == len(eager_log)
+        # A window stops with the clock at its cut when an item or a heap
+        # event, even a cancelled one, lies beyond the cut.  A cancelled one
+        # never runs, so it can leave the clock at a cut past the last event.
+        scheduled = [*arrivals, *(entry[2] for entry in eager_log), *(t for t, _ in prescheduled)]
+
+        def beyond(cut: float) -> bool:
+            return any(time > cut for time in scheduled)
+
+        assert stream.now == eager.now
+        assert windowed.now == max([eager.now, *(cut for cut in cuts if beyond(cut))])
+        assert windowed.pending() == stream.pending() == 0
+        # Arrivals trace as "arrival", posts as "", scheduled events by label.
+        assert windowed.processed == stream.processed
+        assert [record.time for record in stream.processed] == [
+            entry[2] for entry in eager_log
+        ]
+        # Each window runs exactly the events up to and including its cut,
+        # and sets the clock to the cut only when something lies beyond it.
+        done = 0
+        for until, count, logged, now, _ in windows:
+            assert count == logged
+            done += count
+            if until is None:
+                continue
+            assert all(entry[2] <= until for entry in window_log[:done])
+            assert all(entry[2] > until for entry in window_log[done:])
+            if beyond(until):
+                assert now == until
+            else:
+                assert now <= until
+
+    def test_pinned_boundary_keeps_tie_order_across_windows(self):
+        # An event posted in the first window ties with an arrival handled in
+        # the second.  With the boundary pinned before the first window, the
+        # arrival still wins the tie, as in one run_stream call.
+        def run(pin: bool):
+            simulation = Simulation()
+            order = []
+
+            def arrival(sim: Simulation, index: int) -> None:
+                order.append(f"stream-{index}")
+                if index == 0:
+                    sim.post(1.0, order.append, "posted")  # fires at t=2.0
+
+            boundary = simulation._sequence if pin else None
+            _, next_index = simulation.run_stream_window(
+                [1.0, 2.0], arrival, until=1.5, boundary=boundary
+            )
+            simulation.run_stream_window(
+                [1.0, 2.0], arrival, start_index=next_index, boundary=boundary
+            )
+            return order
+
+        assert run(pin=True) == ["stream-0", "stream-1", "posted"]
+        assert run(pin=False) == ["stream-0", "posted", "stream-1"]
 
 
 class TestReplayPaths:
