@@ -1,11 +1,11 @@
 """Micro and macro performance benchmarks with plain-dict results.
 
-Every benchmark here deliberately uses only APIs that exist in every revision
-of the repo (module ``eval()`` inference, cache get/put, ``Simulation``
-scheduling, ``MultiCellSimulator.replay``), so the same harness can measure a
-pre-optimization checkout and a current one: the committed
-``benchmarks/perf/baseline.json`` was produced by running this file against
-the tree *before* the hot-path overhaul landed.
+Every benchmark here deliberately uses only long-standing APIs (module
+``eval()`` inference, cache get/put, ``Simulation`` scheduling,
+``MultiCellSimulator.replay``), so the same harness can also be run against
+an older checkout for an A/B on one host.  Absolute rates describe the host
+they were measured on; only ratios taken within one run (the in-run gates,
+``speedup_vs_serial``) compare across hosts.
 
 All workloads are seeded and deterministic; only wall-clock varies between
 runs.  Micro benchmarks report the best of ``repeats`` rounds to damp
@@ -543,8 +543,7 @@ def bench_suite_parallel(scale: float = 1.0, repeats: int = 1, jobs: int = 0) ->
     The work unit is the E9 row shape — generate a trace, replay it through a
     4-cell deployment — which is exactly what the experiment runtime fans out
     under ``--jobs``.  Revisions without the runtime subsystem run the rows
-    serially, so the committed baseline doubles as the serial reference.
-    ``jobs=0`` picks ``min(4, cpu_count)``.
+    serially.  ``jobs=0`` picks ``min(4, cpu_count)``.
     """
     import os
 

@@ -19,7 +19,6 @@ from repro.nn import (
     RecurrentClassifier,
     Tensor,
     cross_entropy_from_parts,
-    cross_entropy_loss,
     cross_entropy_parts,
 )
 from repro.selection.features import MessageFeaturizer
@@ -73,10 +72,10 @@ class ContextualDomainSelector:
         rng = new_rng(seed)
         optimizer = Adam(self.model.parameters(), learning_rate)
         losses: list[float] = []
-        # Graph-captured GRU training step (None when the runtime is
-        # disabled).  The recurrent unroll is exactly the workload where
-        # trace-and-replay pays off most: eager rebuilds hundreds of small
-        # tape nodes per step, the replay runs a flat kernel program.
+        # Graph-captured GRU training step.  The recurrent unroll is exactly
+        # the workload where trace-and-replay pays off most: eager rebuilds
+        # hundreds of small tape nodes per step, the replay runs a flat
+        # kernel program.
         step = self._build_train_step()
         for _ in range(epochs):
             order = rng.permutation(len(targets))
@@ -84,16 +83,11 @@ class ContextualDomainSelector:
             for start in range(0, len(targets), batch_size):
                 batch_index = order[start : start + batch_size]
                 optimizer.zero_grad()
-                if step is not None:
-                    batch_features = np.ascontiguousarray(features[batch_index])
-                    rows, safe_targets, weights = cross_entropy_parts(targets[batch_index])
-                    loss, _ = step(
-                        features=batch_features, rows=rows, targets=safe_targets, weights=weights
-                    )
-                else:
-                    logits = self.model(Tensor(features[batch_index]))
-                    loss = cross_entropy_loss(logits, targets[batch_index])
-                    loss.backward()
+                batch_features = np.ascontiguousarray(features[batch_index])
+                rows, safe_targets, weights = cross_entropy_parts(targets[batch_index])
+                loss, _ = step(
+                    features=batch_features, rows=rows, targets=safe_targets, weights=weights
+                )
                 optimizer.clip_gradients(5.0)
                 optimizer.step()
                 epoch_losses.append(loss.item())
@@ -101,11 +95,9 @@ class ContextualDomainSelector:
         return losses
 
     def _build_train_step(self):
-        """Compiled classification train step, or ``None`` if capture is off."""
-        from repro.nn.graph import CompiledTrainStep, is_enabled
+        """Compiled classification train step (eager when capture is off)."""
+        from repro.nn.graph import CompiledTrainStep
 
-        if not is_enabled():
-            return None
         model = self.model
 
         def fn(features, rows, targets, weights):

@@ -20,7 +20,6 @@ from repro.nn import (
     Adam,
     Tensor,
     cross_entropy_from_parts,
-    cross_entropy_loss,
     cross_entropy_parts,
     nll_accuracy,
 )
@@ -32,25 +31,21 @@ from repro.utils.rng import SeedLike, new_rng
 
 
 def build_codec_train_step(encoder, decoder):
-    """A graph-captured joint reconstruction training step, or ``None``.
+    """A graph-captured joint reconstruction training step.
 
     The returned :class:`~repro.nn.graph.CompiledTrainStep` computes
     ``cross_entropy(decoder(encoder(ids) [+ noise]), targets)`` and its
     backward pass as a replayed flat program — bit-identical to the eager
     loop (verified bitwise at capture), with transparent eager fallback for
     architectures the tracer cannot capture (e.g. the transformer's
-    input-dependent attention mask).  Returns ``None`` when the graph runtime
-    is disabled (``REPRO_GRAPH=0`` / :func:`repro.nn.graph.configure`), in
-    which case callers run their historical eager step.
+    input-dependent attention mask) and when the graph runtime is disabled
+    (``REPRO_GRAPH=0`` / :func:`repro.nn.graph.configure`).
 
     Shared by :meth:`SemanticCodec.train` and
     :meth:`repro.semantic.individual.IndividualModel.fine_tune` — the two
     loops that dominate e1/e2/e3/e6 wall-clock.
     """
-    from repro.nn.graph import CompiledTrainStep, is_enabled
-
-    if not is_enabled():
-        return None
+    from repro.nn.graph import CompiledTrainStep
 
     def fn(ids, rows, targets, weights, noise=None):
         features = encoder(ids)
@@ -209,10 +204,10 @@ class SemanticCodec:
         # (shuffling the previous epoch's order would not).
         identity = np.arange(len(ids))
         order = identity.copy()
-        # Graph-captured step (None when the runtime is disabled): traced on
-        # the first batch of each shape, replayed for the rest of training.
-        # The rng is consumed in exactly the eager order (shuffle, then one
-        # noise draw per batch), so trajectories stay bit-identical.
+        # Graph-captured step: traced on the first batch of each shape,
+        # replayed for the rest of training.  The rng is consumed in exactly
+        # the eager order (shuffle, then one noise draw per batch), so
+        # trajectories stay bit-identical.
         step = build_codec_train_step(self.encoder, self.decoder)
         pad_id = self.vocabulary.pad_id
         feature_dim = self.config.feature_dim
@@ -223,23 +218,15 @@ class SemanticCodec:
             rng.shuffle(order)
             for batch in self._batches(ids, self.config.batch_size, order):
                 optimizer.zero_grad()
-                if step is not None:
-                    noise = (
-                        rng.normal(0.0, noise_std, size=batch.shape + (feature_dim,))
-                        if noise_std > 0.0
-                        else None
-                    )
-                    rows, safe_targets, weights = cross_entropy_parts(batch, pad_id)
-                    loss, logits = step(
-                        ids=batch, rows=rows, targets=safe_targets, weights=weights, noise=noise
-                    )
-                else:
-                    features = self.encoder(batch)
-                    if noise_std > 0.0:
-                        features = features + Tensor(rng.normal(0.0, noise_std, size=features.shape))
-                    logits = self.decoder(features)
-                    loss = cross_entropy_loss(logits, batch, ignore_index=pad_id)
-                    loss.backward()
+                noise = (
+                    rng.normal(0.0, noise_std, size=batch.shape + (feature_dim,))
+                    if noise_std > 0.0
+                    else None
+                )
+                rows, safe_targets, weights = cross_entropy_parts(batch, pad_id)
+                loss, logits = step(
+                    ids=batch, rows=rows, targets=safe_targets, weights=weights, noise=noise
+                )
                 optimizer.clip_gradients(5.0)
                 optimizer.step()
                 epoch_losses.append(loss.item())

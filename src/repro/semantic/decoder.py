@@ -68,17 +68,14 @@ class SemanticDecoder(Module):
     def decode_greedy(self, features: np.ndarray) -> np.ndarray:
         """Argmax token ids for received ``features`` (inference mode, no tape).
 
-        Runs through the graph runtime when enabled: one captured program per
-        feature shape, replayed with preallocated buffers (bit-identical to
-        eager, transparent fallback otherwise).
+        Runs through the graph runtime: one captured program per feature
+        shape, replayed with preallocated buffers (bit-identical to eager,
+        transparent fallback otherwise, and when the runtime is disabled).
         """
-        from repro.nn.graph import is_enabled as graph_enabled
-
         was_training = self.training
         self.eval()
         with no_grad():
-            runner = self.compile() if graph_enabled() else self
-            logits = runner(features)
+            logits = self.compile()(features)
         if was_training:
             self.train()
         return np.argmax(logits.data, axis=-1)

@@ -84,14 +84,12 @@ class SemanticEncoder(Module):
 
         Runs under :class:`~repro.nn.tensor.no_grad` in evaluation mode, so no
         autograd tape is built — this is the per-request hot path an edge
-        server pays after a cache hit.  When the graph runtime is enabled the
-        forward pass replays a captured flat program (bit-identical, falling
-        back to eager for architectures it cannot trace); the ids are
+        server pays after a cache hit.  The forward pass replays a captured
+        flat program (bit-identical, falling back to eager for architectures
+        it cannot trace or when the graph runtime is disabled); the ids are
         canonicalised first so the capture recognises them as the per-call
         input.
         """
-        from repro.nn.graph import is_enabled as graph_enabled
-
         was_training = self.training
         self.eval()
         token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -106,8 +104,7 @@ class SemanticEncoder(Module):
                 f"[{token_ids.min()}, {token_ids.max()}]"
             )
         with no_grad():
-            runner = self.compile() if graph_enabled() else self
-            features = runner(token_ids).data.copy()
+            features = self.compile()(token_ids).data.copy()
         if was_training:
             self.train()
         return features

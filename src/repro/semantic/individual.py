@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import KnowledgeBaseError
-from repro.nn import Adam, cross_entropy_loss, cross_entropy_parts
+from repro.nn import Adam, cross_entropy_parts
 from repro.semantic.codec import SemanticCodec, build_codec_train_step
 from repro.semantic.mismatch import DomainBuffer
 from repro.utils.rng import SeedLike, new_rng
@@ -88,23 +88,16 @@ class IndividualModel:
         result = FineTuneResult(num_sentences=len(sentences))
         batch_size = self.codec.config.batch_size
         pad_id = self.codec.vocabulary.pad_id
-        # Graph-captured step shared with SemanticCodec.train (None when the
-        # runtime is disabled): traced per batch shape, replayed afterwards.
+        # Graph-captured step shared with SemanticCodec.train: traced per
+        # batch shape, replayed afterwards.
         step = build_codec_train_step(encoder, decoder)
         for _ in range(epochs):
             order = rng.permutation(len(ids))
             for start in range(0, len(ids), batch_size):
                 batch = ids[order[start : start + batch_size]]
                 optimizer.zero_grad()
-                if step is not None:
-                    rows, safe_targets, weights = cross_entropy_parts(batch, pad_id)
-                    loss, logits = step(
-                        ids=batch, rows=rows, targets=safe_targets, weights=weights
-                    )
-                else:
-                    logits = decoder(encoder(batch))
-                    loss = cross_entropy_loss(logits, batch, ignore_index=pad_id)
-                    loss.backward()
+                rows, safe_targets, weights = cross_entropy_parts(batch, pad_id)
+                loss, _ = step(ids=batch, rows=rows, targets=safe_targets, weights=weights)
                 optimizer.clip_gradients(5.0)
                 if collect_decoder_gradient:
                     result.decoder_gradients = {

@@ -37,7 +37,7 @@ Two backends ship today:
     :mod:`repro.sim.vectorized`).  Bit-identical to serial: every fresh
     (deployment, config, trace, timeline) signature is cross-checked against
     the serial engine, and ineligible shapes (resilience policies, cell
-    outage timelines, object traces) silently take the serial path.
+    outage timelines) silently take the serial path.
 
 Backend selection is spelled identically everywhere: a ``--backend`` CLI
 flag on both entry points, overridable by the ``REPRO_BACKEND`` environment
@@ -81,7 +81,11 @@ class SimBackend(Protocol):
     on_request_end: Optional[Callable[[Request], None]]
 
     def replay(self, trace) -> SimulationReport:
-        """Replay a request trace to completion and return the run's report."""
+        """Replay a :class:`~repro.workloads.traces.RequestTrace` to completion.
+
+        Returns the run's report; anything but a ``RequestTrace`` raises
+        ``TypeError`` before any event runs.
+        """
         ...
 
     def schedule_calls(self, time_s: float, calls: Sequence[tuple], label: str = "") -> None:

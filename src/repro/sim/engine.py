@@ -25,9 +25,9 @@ in one process.  Hot-path choices that keep it fast at that scale:
   garbage collector for its duration: events, requests and argument tuples
   die by reference counting, and generation-0 scans otherwise trigger
   thousands of times across a long replay.
-* :meth:`run_stream` merges a time-sorted arrival stream into the run loop
-  without the stream ever touching the heap, so replaying a 50k-request trace
-  keeps the heap at the size of the genuinely concurrent work.  The loop
+* :meth:`run_stream_window` merges a time-sorted arrival stream into the run
+  loop without the stream ever touching the heap, so replaying a 50k-request
+  trace keeps the heap at the size of the genuinely concurrent work.  The loop
   reads the stream in blocks of :data:`STREAM_BLOCK` Python floats (one
   ``tolist()`` per block, not a numpy scalar per arrival) and, before each
   arrival, drains only the heap events that come first.
@@ -212,43 +212,6 @@ class Simulation:
         count, _ = self._run_merged((), None, until, max_events)
         return count
 
-    def run_stream(
-        self,
-        times: Sequence[float],
-        callback: Callable[["Simulation", int], None],
-        presorted: bool = False,
-    ) -> int:
-        """Run to completion while feeding a time-sorted arrival stream.
-
-        Behaves exactly as if ``callback(sim, i)`` had been scheduled at
-        ``times[i]`` for every ``i`` at the moment this method is called:
-        same-time stream items run FIFO; on an exact timestamp tie with a
-        heap event, events scheduled *before* this call keep their earlier
-        sequence numbers and run first, while events scheduled during the run
-        run after the stream item (eager scheduling would order them exactly
-        the same way).  The stream never touches the heap, so its size stays
-        at the genuinely concurrent work.  Returns the number of events
-        processed including stream items.
-
-        ``presorted=True`` skips the sortedness validation — for callers that
-        just sorted (or verified) the array themselves, so a 5M-entry stream
-        is not scanned twice.
-        """
-        if not presorted:
-            if hasattr(times, "dtype"):
-                # Numpy fast path: a columnar replay hands the timestamp array
-                # straight in; validating 5M entries must not be a Python loop.
-                import numpy as np
-
-                if len(times) > 1 and bool(np.any(times[1:] < times[:-1])):
-                    raise SimulationError("run_stream requires times sorted non-decreasingly")
-            elif any(b < a for a, b in zip(times, times[1:])):
-                raise SimulationError("run_stream requires times sorted non-decreasingly")
-        if len(times) and times[0] < self.now:
-            raise SimulationError(f"stream starts at {times[0]} before current time {self.now}")
-        count, _ = self._run_merged(times, callback, None, None)
-        return count
-
     def run_stream_window(
         self,
         times: Sequence[float],
@@ -257,26 +220,36 @@ class Simulation:
         until: Optional[float] = None,
         boundary: Optional[int] = None,
     ) -> Tuple[int, int]:
-        """One windowed slice of a merged stream run; resumable.
+        """Run the heap with a time-sorted arrival stream merged in; resumable.
 
-        Processes heap events and stream items (``callback(sim, i)`` at
-        ``times[i]``, starting from ``start_index``) up to and including
-        simulation time ``until``, then stops.  The clock moves to ``until``
-        when the next stream item or heap event (a cancelled one included)
-        lies beyond it; when nothing is left it stays at the last event.
-        Returns ``(events_processed, next_start_index)`` so the caller can
-        advance window by window — the sharded backend's conservative
-        time-window loop.  ``boundary`` pins the sequence-number tie-break of
-        the *first* window (pass the value captured before the windowed run
-        began) so same-time ordering is consistent across the whole replay;
-        ``None`` captures it at call time.  ``times`` must be sorted
-        non-decreasingly (callers validate once up front, not per window).
+        Behaves exactly as if ``callback(sim, i)`` had been scheduled at
+        ``times[i]`` for every ``i >= start_index`` when the stream run began:
+        same-time stream items run FIFO; on an exact timestamp tie with a
+        heap event, events scheduled *before* that moment keep their earlier
+        sequence numbers and run first, while events scheduled during the run
+        run after the stream item (eager scheduling would order them exactly
+        the same way).  The stream never touches the heap, so its size stays
+        at the genuinely concurrent work.  ``times`` must be sorted
+        non-decreasingly; callers sort or check it once, it is not rescanned
+        here.
+
+        With ``until`` set, the run stops after the last heap event or stream
+        item at or before ``until``.  The clock then moves to ``until`` when
+        the next stream item or heap event (a cancelled one included) lies
+        beyond it; when nothing is left it stays at the last event.  Returns
+        ``(events_processed, next_start_index)`` so the caller can advance
+        window by window — the sharded backend's conservative time-window
+        loop, or a replay resuming after an exception.  ``boundary`` is the
+        sequence number that marks "scheduled before the stream run began";
+        pass the value captured before the first window so same-time ordering
+        is consistent across the whole replay (``None`` captures it at call
+        time).
         """
         if start_index < 0:
             raise SimulationError(f"start_index must be >= 0, got {start_index}")
         if start_index < len(times) and times[start_index] < self.now:
             raise SimulationError(
-                f"stream resumes at {times[start_index]} before current time {self.now}"
+                f"stream starts at {times[start_index]} before current time {self.now}"
             )
         return self._run_merged(times, callback, until, None, start_index, boundary)
 

@@ -30,7 +30,7 @@ from repro.workloads.traces import RequestTrace
 
 def trace_domain_counts(trace: Optional[RequestTrace]) -> Dict[str, int]:
     """Per-domain request counts of ``trace`` (empty when unavailable)."""
-    if isinstance(trace, RequestTrace) and len(trace) > 0:
+    if trace is not None and len(trace) > 0:
         return trace.domain_counts()
     return {}
 

@@ -275,13 +275,10 @@ class MaxFlowPlacement(PlacementPolicy):
 
 def _trace_span(trace: Optional[RequestTrace]) -> float:
     """Arrival span of ``trace`` in seconds (0.0 when unknown)."""
-    if not isinstance(trace, RequestTrace) or len(trace) == 0:
+    if trace is None or len(trace) == 0:
         return 0.0
-    if trace.is_columnar:
-        timestamps = trace.timestamps
-        return float(timestamps.max() - timestamps.min())
-    times = [request.timestamp for request in trace.requests]
-    return float(max(times) - min(times))
+    timestamps = trace.timestamps
+    return float(timestamps.max() - timestamps.min())
 
 
 def make_policy(name: str) -> PlacementPolicy:

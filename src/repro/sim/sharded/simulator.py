@@ -60,7 +60,7 @@ from repro.sim.resilience import ResiliencePolicy
 from repro.sim.sharded.shard import ShardSimulator, WindowMessage
 from repro.sim.simulator import MultiCellSimulator, SimulatorConfig
 from repro.utils.rng import SeedLike
-from repro.workloads.traces import RequestTrace
+from repro.workloads.traces import RequestTrace, require_trace
 
 #: Driver choices for :class:`ShardedConfig`.
 DRIVERS = ("auto", "inline", "process")
@@ -338,8 +338,9 @@ class ShardedSimulator:
         derived = self.config.backhaul.transfer_time(min_size)
         return derived if derived > 0 else 0.01
 
-    def replay(self, trace) -> SimulationReport:
+    def replay(self, trace: RequestTrace) -> SimulationReport:
         """Partition, plan, and replay ``trace`` across the shards."""
+        require_trace(trace)
         if self._replayed:
             raise SimulationError("the sharded backend is one-shot; build a fresh instance")
         started = time.perf_counter()
@@ -463,36 +464,14 @@ class ShardedSimulator:
         self._report = replace(report, wall_clock_s=time.perf_counter() - started)
         return self._report
 
-    def _extract_columns(self, trace):
-        """Sorted columnar view of any trace (arrays or objects)."""
-        if isinstance(trace, RequestTrace) and trace.is_columnar:
-            timestamps = np.asarray(trace.timestamps, dtype=np.float64)
-            user_codes = np.asarray(trace.user_indices, dtype=np.int64)
-            domain_codes = np.asarray(trace.domain_indices, dtype=np.int64)
-            domain_names = list(trace.domain_names)
-            max_user = int(user_codes.max()) + 1 if len(user_codes) else 0
-            user_labels = [f"user_{index}" for index in range(max_user)]
-        else:
-            times_list: List[float] = []
-            user_labels = []
-            user_index: Dict[str, int] = {}
-            domain_names = []
-            domain_index: Dict[str, int] = {}
-            user_code_list: List[int] = []
-            domain_code_list: List[int] = []
-            for item in trace:
-                times_list.append(float(item.timestamp))
-                code = user_index.setdefault(item.user_id, len(user_labels))
-                if code == len(user_labels):
-                    user_labels.append(item.user_id)
-                user_code_list.append(code)
-                dcode = domain_index.setdefault(item.domain, len(domain_names))
-                if dcode == len(domain_names):
-                    domain_names.append(item.domain)
-                domain_code_list.append(dcode)
-            timestamps = np.asarray(times_list, dtype=np.float64)
-            user_codes = np.asarray(user_code_list, dtype=np.int64)
-            domain_codes = np.asarray(domain_code_list, dtype=np.int64)
+    def _extract_columns(self, trace: RequestTrace):
+        """Sorted columns of ``trace``, with its user label table."""
+        timestamps = np.asarray(trace.timestamps, dtype=np.float64)
+        user_codes = np.asarray(trace.user_indices, dtype=np.int64)
+        domain_codes = np.asarray(trace.domain_indices, dtype=np.int64)
+        domain_names = list(trace.domain_names)
+        max_user = int(user_codes.max()) + 1 if len(user_codes) else 0
+        user_labels = [f"user_{index}" for index in range(max_user)]
         for name in domain_names:
             if name not in self.catalogue:
                 raise SimulationError(f"domain {name!r} is not in the model catalogue")

@@ -86,12 +86,33 @@ from repro.sim.request import (
 from repro.sim.placement import PlacementRuntime, PlacementSpec
 from repro.sim.resilience import CircuitBreaker, ResiliencePolicy
 from repro.utils.rng import SeedLike
-from repro.workloads.traces import RequestTrace
+from repro.workloads.traces import RequestTrace, require_trace
 
 #: ``moved`` marker of an arrival that is also a failover (the sharded
 #: backend's planned failovers and forwarded continuations): besides the
 #: handover, the arrival step counts one failover at the serving cell.
 FAILED_OVER = object()
+
+
+@dataclass(frozen=True)
+class _Arrivals:
+    """Time-sorted arrivals of a replay, as its block-fed loop reads them.
+
+    Arrival ``i`` is trace row ``order[i]`` (row ``i`` when ``order`` is
+    ``None``, i.e. the trace was already sorted) and gets request id
+    ``first_id + row``.  ``boundary`` is the engine sequence number at the
+    replay's start: heap events scheduled up to it run before an arrival
+    with the same timestamp, later ones after it.
+    """
+
+    times: np.ndarray
+    order: Optional[np.ndarray]
+    first_id: int
+    user_indices: np.ndarray
+    domain_indices: np.ndarray
+    domain_names: Tuple[str, ...]
+    keys: List[str]
+    boundary: int
 
 
 @dataclass(frozen=True)
@@ -106,8 +127,6 @@ class SimulatorConfig:
     feature_bytes: float = 48.0
     #: Message length assumed for the encode FLOP cost.
     num_tokens: int = 12
-    #: Keep per-event records (slow; only useful for debugging small runs).
-    trace_events: bool = False
     #: Latency samples kept in memory; percentiles are exact up to this count
     #: and reservoir-sampled beyond it (see :class:`~repro.sim.metrics.LatencyRecorder`).
     latency_reservoir: int = 100_000
@@ -163,14 +182,15 @@ class MultiCellSimulator:
         self.costs = PathCostCache(self.topology)
         order_neighbors(list(self.cells.values()), self.costs)
         self.mobility = MobilityModel(list(self.cells), self.config.mobility, seed=seed)
-        self.engine = Simulation(trace=self.config.trace_events)
+        self.engine = Simulation(trace=False)
         self.latency = LatencyRecorder(reservoir_size=self.config.latency_reservoir)
         self.requests: List[Request] = []
         self.backhaul_bytes = 0.0
         self.cloud_bytes = 0.0
         self._request_counter = 0
-        #: Requests replayed lazily by run() via the engine's stream merge.
-        self._arrival_stream: List[Request] = []
+        #: A replay that raised: its arrivals and the index of the first one
+        #: undelivered, which run() resumes from.
+        self._tail: Optional[Tuple[_Arrivals, int]] = None
         # Completion counters maintained incrementally so report() does not
         # rescan every request (events complete in time order, so the last
         # completion timestamp is the run duration).
@@ -528,96 +548,85 @@ class MultiCellSimulator:
         self.engine.schedule_at(timestamp, lambda sim, r=request: self._on_arrival(r))
         return request
 
-    def replay(self, trace: RequestTrace | Iterable) -> SimulationReport:
+    def replay(self, trace: RequestTrace) -> SimulationReport:
         """Replay every trace request to completion and return the report.
 
-        Arrivals are *not* pre-scheduled on the event heap: ``run()`` merges
-        the time-sorted request stream into the engine's pop loop
-        (:meth:`~repro.sim.engine.Simulation.run_stream`), so the heap only
-        ever holds the genuinely concurrent work (in-flight fetches, batch
-        timers, completions) instead of 50k pending arrivals.  Processing
-        order is identical to eager scheduling.
+        ``trace`` must be a :class:`~repro.workloads.traces.RequestTrace`;
+        anything else raises ``TypeError`` before any event runs.  Arrivals
+        are *not* pre-scheduled on the event heap: the engine merges the
+        sorted arrival times into its pop loop, so the heap only ever holds
+        the genuinely concurrent work (in-flight fetches, batch timers,
+        completions).  Processing order, request ids (trace position) and tie
+        order (trace order) are identical to :meth:`submit` of every request
+        in trace order followed by :meth:`run`.  One
+        :class:`~repro.sim.request.Request` is built per arrival inside the
+        merge, so replaying millions of requests never holds more request
+        objects than are in flight (unless ``retain_requests`` keeps them).
 
-        A columnar :class:`~repro.workloads.traces.RequestTrace` takes the
-        array fast path: :class:`~repro.sim.request.Request` objects are
-        materialized lazily inside the stream merge, one per arrival, instead
-        of all up front — replaying millions of requests never holds more
-        request objects than are concurrently in flight (unless
-        ``retain_requests`` keeps them).  Results are bit-identical to the
-        object path.
+        If the replay raises, its undelivered arrivals stay pending:
+        :meth:`run` resumes them, and replaying another trace first raises
+        :class:`~repro.exceptions.SimulationError`.
         """
-        if self._placement is not None:
-            # Demand estimation + offline prewarm happen before the first
-            # arrival; the runtime is idempotent so chained replays keep the
-            # first trace's plan.
-            self._placement.prepare(self, trace if isinstance(trace, RequestTrace) else None)
-        if not self._arrival_stream and isinstance(trace, RequestTrace) and trace.is_columnar:
-            try:
-                return self._replay_columnar(trace)
-            finally:
-                self.mobility.sync()
-        domain_info = self._domain_info
-        num_tokens = self.config.num_tokens
-        counter = self._request_counter
-        pending: List[Request] = []
-        for trace_request in trace:
-            domain = trace_request.domain
-            info = domain_info.get(domain)
-            if info is None:
-                raise SimulationError(f"domain {domain!r} is not in the model catalogue")
-            counter += 1
-            # Positional construction: measurably cheaper than keyword calls
-            # at 50k+ requests (field order is part of Request's contract).
-            pending.append(
-                Request(
-                    counter,
-                    trace_request.user_id,
-                    domain,
-                    info[0],
-                    trace_request.timestamp,
-                    num_tokens,
-                )
+        require_trace(trace)
+        if self._tail is not None:
+            pending, start = self._tail
+            raise SimulationError(
+                f"{len(pending.times) - start} arrivals of an interrupted replay are pending; "
+                "call run() to resume them before replaying another trace"
             )
-        self._request_counter = counter
-        if self.config.retain_requests:
-            self.requests.extend(pending)
-        if pending:
-            self._arrival_stream.extend(pending)
-            # Stable sort: equal-time arrivals keep trace order.
-            self._arrival_stream.sort(key=lambda request: request.arrival_time)
-        return self.run()
-
-    def _replay_columnar(self, trace: RequestTrace) -> SimulationReport:
-        """Array fast path of :meth:`replay`: lazy per-arrival materialization.
-
-        Request ids are assigned by *trace position* (as the object path does
-        before sorting), and the stable sort keeps tied timestamps in trace
-        order, so every value any event handler observes is identical to the
-        object-based replay.
-        """
-        timestamps = trace.timestamps
-        user_indices = trace.user_indices
-        domain_indices = trace.domain_indices
-        domain_names = trace.domain_names
         keys: List[str] = []
-        for name in domain_names:
+        for name in trace.domain_names:
             info = self._domain_info.get(name)
             if info is None:
                 raise SimulationError(f"domain {name!r} is not in the model catalogue")
             keys.append(info[0])
-        num_requests = len(timestamps)
-        started = time.perf_counter()
-        if num_requests == 0:
-            self.engine.run()
-            return self.report(wall_clock_s=time.perf_counter() - started)
-        if np.any(timestamps[1:] < timestamps[:-1]):
-            order = np.argsort(timestamps, kind="stable")
-            sorted_times = timestamps[order]
+        times = trace.timestamps
+        if np.any(times[1:] < times[:-1]):
+            order = np.argsort(times, kind="stable")
+            times = times[order]
         else:
             order = None
-            sorted_times = timestamps
-        base = self._request_counter
-        self._request_counter = base + num_requests
+        if len(times) and times[0] < self.engine.now:
+            raise SimulationError(f"trace starts at {times[0]} before current time {self.engine.now}")
+        if self._placement is not None:
+            # Demand estimation + offline prewarm happen before the first
+            # arrival, and only for a trace that passed the checks above;
+            # the runtime is idempotent so chained replays keep the first
+            # trace's plan.
+            self._placement.prepare(self, trace)
+        first_id = self._request_counter + 1
+        self._request_counter += len(times)
+        arrivals = _Arrivals(
+            times,
+            order,
+            first_id,
+            trace.user_indices,
+            trace.domain_indices,
+            trace.domain_names,
+            keys,
+            self.engine._sequence,
+        )
+        try:
+            return self._feed(arrivals)
+        finally:
+            self.mobility.sync()
+
+    def _feed(self, arrivals: _Arrivals, start: int = 0) -> SimulationReport:
+        """Run the engine with arrivals ``start`` onward merged in; return the report.
+
+        The block-fed loop of every replay, and of :meth:`run` resuming an
+        interrupted one.  If the run raises, ``self._tail`` keeps the
+        arrivals and the index of the first one undelivered.
+        """
+        started = time.perf_counter()
+        times = arrivals.times
+        order = arrivals.order
+        first_id = arrivals.first_id
+        user_indices = arrivals.user_indices
+        domain_indices = arrivals.domain_indices
+        domain_names = arrivals.domain_names
+        keys = arrivals.keys
+        num_arrivals = len(times)
         num_tokens = self.config.num_tokens
         retain = self.config.retain_requests
         requests_list = self.requests
@@ -625,41 +634,44 @@ class MultiCellSimulator:
         cells = self.cells
         arrive = self._arrive
         # Per-request string formatting hoisted out of the event loop: the
-        # label tables are num_users/num_domains entries, not num_requests.
-        user_labels = [f"user_{index}" for index in range(int(user_indices.max()) + 1)]
-        label_array = np.array(user_labels, dtype=object)
+        # label table is num_users entries, not num_requests.
+        label_array = np.array(
+            [f"user_{index}" for index in range(int(user_indices.max(initial=-1)) + 1)],
+            dtype=object,
+        )
 
         def arrival_blocks() -> Iterator[Iterable[Tuple[int, str, int]]]:
-            # (request id, user label, domain index) per arrival in stream
+            # (request id, user label, domain index) per arrival in time
             # order, converted to Python values one bounded block at a time
             # (one tolist() per column per block, not a numpy scalar per
             # column per arrival), so memory stays flat at any trace length.
-            for low in range(0, num_requests, STREAM_BLOCK):
-                high = min(low + STREAM_BLOCK, num_requests)
+            for low in range(start, num_arrivals, STREAM_BLOCK):
+                high = min(low + STREAM_BLOCK, num_arrivals)
                 if order is None:
-                    positions = slice(low, high)
-                    ids: Iterable[int] = range(base + low + 1, base + high + 1)
+                    rows = slice(low, high)
+                    ids: Iterable[int] = range(first_id + low, first_id + high)
                 else:
-                    positions = order[low:high]
-                    ids = (positions + (base + 1)).tolist()
+                    rows = order[low:high]
+                    ids = (rows + first_id).tolist()
                 yield zip(
                     ids,
-                    label_array[user_indices[positions]].tolist(),
-                    domain_indices[positions].tolist(),
+                    label_array[user_indices[rows]].tolist(),
+                    domain_indices[rows].tolist(),
                 )
 
         # The engine calls back once per index, in index order, so the
         # callback walks the blocks with one iterator.
         next_arrival = chain.from_iterable(arrival_blocks()).__next__
-        delivered = 0
+        delivered = start
 
         def on_stream_item(sim: Simulation, index: int) -> None:
             nonlocal delivered
-            # Delivered before processing, matching the object stream path.
+            # Marked delivered before processing: an arrival whose own
+            # handling raises is consumed either way, like a popped event.
             delivered = index + 1
             request_id, user_id, domain_index = next_arrival()
-            # sim.now is exactly float(sorted_times[index]) — the engine set
-            # the clock to this arrival before invoking the callback.
+            # sim.now is exactly float(times[index]) — the engine set the
+            # clock to this arrival before invoking the callback.
             request = Request(
                 request_id,
                 user_id,
@@ -675,73 +687,39 @@ class MultiCellSimulator:
             arrive(request, cells[cell_name], moved)
 
         try:
-            self.engine.run_stream(sorted_times, on_stream_item, presorted=True)
+            self.engine.run_stream_window(
+                times, on_stream_item, start_index=start, boundary=arrivals.boundary
+            )
         except BaseException:
-            # Materialize the undelivered tail so a retry after a mid-replay
-            # exception continues where the run stopped (same contract as the
-            # object path).
-            tail: List[Request] = []
-            for index in range(delivered, num_requests):
-                position = index if order is None else int(order[index])
-                domain_index = domain_indices[position]
-                tail.append(
-                    Request(
-                        base + position + 1,
-                        user_labels[user_indices[position]],
-                        domain_names[domain_index],
-                        keys[domain_index],
-                        float(timestamps[position]),
-                        num_tokens,
-                    )
-                )
-            self._arrival_stream = tail
+            if delivered < num_arrivals:
+                self._tail = (arrivals, delivered)
             raise
         return self.report(wall_clock_s=time.perf_counter() - started)
 
     def run(self) -> SimulationReport:
         """Process all scheduled events and return the run's report.
 
-        Whether it returns or raises, the run ends with the mobility
-        generator synced to its scalar draw position (see
+        After a replay that raised, this first resumes the replay's
+        undelivered arrivals, with the request ids and tie order the replay
+        would have given them.  Whether it returns or raises, the run ends
+        with the mobility generator synced to its scalar draw position (see
         :class:`~repro.sim.multicell.MobilityModel`).
         """
-        started = time.perf_counter()
-        stream = self._arrival_stream
+        tail, self._tail = self._tail, None
         try:
-            if stream:
-                self._arrival_stream = []
-                arrive = self._on_arrival
-                delivered = 0
-
-                def on_stream_item(sim: Simulation, index: int) -> None:
-                    nonlocal delivered
-                    # Marked delivered before processing: an arrival whose own
-                    # handling raises is consumed either way (matching the heap
-                    # path, where the popped event is gone after an exception).
-                    delivered = index + 1
-                    arrive(stream[index])
-
-                try:
-                    self.engine.run_stream(
-                        [request.arrival_time for request in stream], on_stream_item
-                    )
-                except BaseException:
-                    # Keep the undelivered tail so a retry after a mid-replay
-                    # exception continues where the run stopped instead of
-                    # silently simulating only the delivered prefix.
-                    self._arrival_stream = stream[delivered:]
-                    raise
-            else:
-                self.engine.run()
+            if tail is not None:
+                return self._feed(*tail)
+            started = time.perf_counter()
+            self.engine.run()
+            return self.report(wall_clock_s=time.perf_counter() - started)
         finally:
             self.mobility.sync()
-        return self.report(wall_clock_s=time.perf_counter() - started)
 
     # ------------------------------------------------------------------ #
     # Lifecycle stages
     # ------------------------------------------------------------------ #
     def _on_arrival(self, request: Request) -> None:
-        """Arrival of a submitted or object-stream request: resolve its cell."""
+        """Arrival of a submitted request: resolve its cell."""
         cell_name, moved = self.mobility.resolve(request.user_id)
         request.cell = cell_name
         placement = self._placement

@@ -34,9 +34,9 @@ backend replays **both** engines — serial on the wrapped simulator (that
 report is returned), the kernel on a shadow deployment built from the same
 constructor arguments — and compares the full reports field by field.  Any
 divergence marks the signature bad and silently pins it to the serial path.
-Ineligible shapes (resilience policies, cell fail/recover timelines, object
-traces, unseeded runs, warm simulators) fall back to the serial path
-entirely, so results are *always* exactly the serial engine's.
+Ineligible shapes (resilience policies, cell fail/recover timelines,
+unseeded runs, warm simulators) fall back to the serial path entirely, so
+results are *always* exactly the serial engine's.
 
 The shadow replay runs in one long-lived helper process (spawned at the first
 validation of each process) while the serial replay runs in the caller, so a
@@ -81,7 +81,7 @@ from repro.sim.simulator import MultiCellSimulator, SimulatorConfig
 from repro.exceptions import SimulationError
 from repro.runtime.parallel import available_cpus
 from repro.utils.rng import SeedLike
-from repro.workloads.traces import RequestTrace
+from repro.workloads.traces import RequestTrace, require_trace
 
 #: Timeline methods the kernel can lower as cohort barriers.  ``fail_cell`` /
 #: ``recover_cell`` re-route in-flight work through the failover chain, which
@@ -178,7 +178,8 @@ class VectorizedSimulator:
     # ------------------------------------------------------------------ #
     # Replay entry point
     # ------------------------------------------------------------------ #
-    def replay(self, trace) -> SimulationReport:
+    def replay(self, trace: RequestTrace) -> SimulationReport:
+        require_trace(trace)
         blocker = self._fast_path_blocker(trace)
         if blocker is not None:
             self.fallback_reason = blocker
@@ -207,8 +208,6 @@ class VectorizedSimulator:
     # ------------------------------------------------------------------ #
     def _fast_path_blocker(self, trace) -> Optional[str]:
         """Why this replay cannot take the kernel (``None`` when it can)."""
-        if not isinstance(trace, RequestTrace) or not trace.is_columnar:
-            return "object traces take the serial per-request path"
         if len(trace.timestamps) == 0:
             return "empty trace"
         if float(np.min(trace.timestamps)) < self._inner.engine.now:
@@ -220,10 +219,6 @@ class VectorizedSimulator:
             return "resilience policies take the serial per-request path"
         if inner._placement is not None:
             return "placement policies take the serial per-request path"
-        if inner.config.trace_events:
-            return "per-event tracing is a serial-engine feature"
-        if inner._arrival_stream:
-            return "a previous replay left a pending arrival stream"
         for _, calls, _ in self._timeline:
             for method_name, _args in calls:
                 if method_name not in SUPPORTED_TIMELINE_CALLS:

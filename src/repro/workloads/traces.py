@@ -7,8 +7,8 @@ Traces are stored **columnar**: one numpy structured array holding arrival
 time, user index and domain index per request, plus the domain-name lookup
 table.  Generating and shipping a multi-million-request trace is therefore
 array work — :class:`TraceRequest` objects are materialized lazily, one at a
-time, only where a consumer actually iterates (and the multi-cell simulator
-bypasses even that, reading the columns directly).
+time, only where a consumer actually iterates (and the simulator backends
+bypass even that, reading the columns directly).
 """
 
 from __future__ import annotations
@@ -51,25 +51,22 @@ class TraceRequest:
 class RequestTrace:
     """An ordered request trace: columnar storage, object view on demand.
 
-    Two construction modes:
+    Built by :meth:`from_columns` (every generator does): a structured array
+    (:data:`TRACE_DTYPE`) plus the domain-name table.  It is the one input
+    every simulator backend replays (:func:`require_trace`).
 
-    * ``RequestTrace(requests=[TraceRequest, ...])`` — the legacy object form,
-      kept for hand-built traces in tests and small tools.
-    * :meth:`from_columns` — the columnar form every generator produces: a
-      structured array (:data:`TRACE_DTYPE`) plus the domain-name table.
-
-    Iteration always yields :class:`TraceRequest` values; on a columnar trace
-    they are materialized lazily one at a time, so iterating never builds the
-    whole object list.  Summary helpers (:meth:`domain_counts`, :meth:`users`)
-    run vectorized on the columns.
+    Iteration yields :class:`TraceRequest` values, materialized lazily one at
+    a time, so iterating never builds the whole object list.  Summary helpers
+    (:meth:`domain_counts`, :meth:`users`) run vectorized on the columns.
     """
 
-    __slots__ = ("_requests", "_columns", "_domain_names")
+    __slots__ = ("_columns", "_domain_names")
 
-    def __init__(self, requests: Optional[List[TraceRequest]] = None) -> None:
-        self._requests: Optional[List[TraceRequest]] = list(requests) if requests is not None else []
-        self._columns: Optional[np.ndarray] = None
-        self._domain_names: tuple = ()
+    def __init__(self, columns: np.ndarray, domain_names: Sequence[str]) -> None:
+        if columns.dtype != TRACE_DTYPE:
+            raise ValueError(f"trace columns must have dtype {TRACE_DTYPE}, got {columns.dtype}")
+        self._columns = columns
+        self._domain_names = tuple(domain_names)
 
     @classmethod
     def from_columns(
@@ -79,7 +76,7 @@ class RequestTrace:
         domain_indices: np.ndarray,
         domain_names: Sequence[str],
     ) -> "RequestTrace":
-        """Build a columnar trace from parallel per-request arrays."""
+        """Build a trace from parallel per-request arrays."""
         num_requests = len(timestamps)
         if len(user_indices) != num_requests or len(domain_indices) != num_requests:
             raise ValueError("timestamps, user_indices and domain_indices must have equal length")
@@ -87,56 +84,34 @@ class RequestTrace:
         columns["timestamp"] = timestamps
         columns["user"] = user_indices
         columns["domain"] = domain_indices
-        trace = cls.__new__(cls)
-        trace._requests = None
-        trace._columns = columns
-        trace._domain_names = tuple(domain_names)
-        return trace
+        return cls(columns, domain_names)
 
     # ------------------------------------------------------------------ #
     # Columnar accessors (the simulator's zero-copy fast path)
     # ------------------------------------------------------------------ #
     @property
-    def is_columnar(self) -> bool:
-        """Whether this trace carries columns (enables the array fast paths)."""
-        return self._columns is not None
-
-    @property
     def timestamps(self) -> np.ndarray:
-        """Arrival timestamps as a float64 array (columnar traces only)."""
-        return self._require_columns()["timestamp"]
+        """Arrival timestamps as a float64 array."""
+        return self._columns["timestamp"]
 
     @property
     def user_indices(self) -> np.ndarray:
-        """Per-request user index (``user_<i>``) array (columnar traces only)."""
-        return self._require_columns()["user"]
+        """Per-request user index (``user_<i>``) array."""
+        return self._columns["user"]
 
     @property
     def domain_indices(self) -> np.ndarray:
-        """Per-request index into :attr:`domain_names` (columnar traces only)."""
-        return self._require_columns()["domain"]
+        """Per-request index into :attr:`domain_names`."""
+        return self._columns["domain"]
 
     @property
     def domain_names(self) -> tuple:
-        """Domain lookup table of a columnar trace."""
-        self._require_columns()
+        """Domain lookup table."""
         return self._domain_names
-
-    def _require_columns(self) -> np.ndarray:
-        if self._columns is None:
-            raise ValueError("this RequestTrace was built from objects and has no columns")
-        return self._columns
 
     # ------------------------------------------------------------------ #
     # Object view
     # ------------------------------------------------------------------ #
-    @property
-    def requests(self) -> List[TraceRequest]:
-        """The trace as a list of :class:`TraceRequest` (materialized, cached)."""
-        if self._requests is None:
-            self._requests = list(iter(self))
-        return self._requests
-
     def _materialize(self, index: int) -> TraceRequest:
         row = self._columns[index]
         return TraceRequest(
@@ -146,13 +121,9 @@ class RequestTrace:
         )
 
     def __len__(self) -> int:
-        if self._columns is not None:
-            return len(self._columns)
-        return len(self._requests)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[TraceRequest]:
-        if self._requests is not None:
-            return iter(self._requests)
         return (self._materialize(index) for index in range(len(self._columns)))
 
     # ------------------------------------------------------------------ #
@@ -160,41 +131,40 @@ class RequestTrace:
     # ------------------------------------------------------------------ #
     def domains(self) -> List[str]:
         """Domain of every request, in order."""
-        if self._columns is not None:
-            names = np.asarray(self._domain_names, dtype=object)
-            return list(names[self._columns["domain"]])
-        return [request.domain for request in self._requests]
+        names = np.asarray(self._domain_names, dtype=object)
+        return list(names[self._columns["domain"]])
 
     def domain_counts(self) -> Dict[str, int]:
         """Number of requests per domain, keyed in first-seen order."""
-        if self._columns is not None:
-            indices = self._columns["domain"]
-            if len(indices) == 0:
-                return {}
-            present, first_seen = np.unique(indices, return_index=True)
-            counts = np.bincount(indices, minlength=len(self._domain_names))
-            order = np.argsort(first_seen, kind="stable")
-            return {
-                self._domain_names[int(present[i])]: int(counts[present[i]]) for i in order
-            }
-        counts_by_name: Dict[str, int] = {}
-        for request in self._requests:
-            counts_by_name[request.domain] = counts_by_name.get(request.domain, 0) + 1
-        return counts_by_name
+        indices = self._columns["domain"]
+        if len(indices) == 0:
+            return {}
+        present, first_seen = np.unique(indices, return_index=True)
+        counts = np.bincount(indices, minlength=len(self._domain_names))
+        order = np.argsort(first_seen, kind="stable")
+        return {self._domain_names[int(present[i])]: int(counts[present[i]]) for i in order}
 
     def users(self) -> List[str]:
         """Distinct users appearing in the trace, in first-seen order."""
-        if self._columns is not None:
-            indices = self._columns["user"]
-            if len(indices) == 0:
-                return []
-            present, first_seen = np.unique(indices, return_index=True)
-            order = np.argsort(first_seen, kind="stable")
-            return [f"user_{int(present[i])}" for i in order]
-        seen: Dict[str, None] = {}
-        for request in self._requests:
-            seen.setdefault(request.user_id, None)
-        return list(seen)
+        indices = self._columns["user"]
+        if len(indices) == 0:
+            return []
+        present, first_seen = np.unique(indices, return_index=True)
+        order = np.argsort(first_seen, kind="stable")
+        return [f"user_{int(present[i])}" for i in order]
+
+
+def require_trace(trace: object) -> None:
+    """Raise ``TypeError`` unless ``trace`` is a :class:`RequestTrace`.
+
+    The input check of every backend's ``replay``: it runs before any event
+    or random draw, so a rejected call leaves the simulator untouched.
+    """
+    if not isinstance(trace, RequestTrace):
+        raise TypeError(
+            f"replay takes a RequestTrace, got {type(trace).__name__}; "
+            "build one with RequestTrace.from_columns"
+        )
 
 
 def assemble_trace(

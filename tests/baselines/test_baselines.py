@@ -16,7 +16,7 @@ from repro.baselines import (
 from repro.channel import PhysicalChannel
 from repro.semantic import CodecConfig
 from repro.workloads import ZipfTraceGenerator, generate_all_corpora
-from repro.workloads.traces import RequestTrace, TraceRequest
+from repro.workloads.traces import TraceRequest
 
 
 class TestHuffmanCoder:
@@ -100,8 +100,7 @@ class TestGeneralOnlyBaseline:
 
 class TestNoCacheBaseline:
     def _trace(self, domains):
-        requests = [TraceRequest(timestamp=float(i), user_id="u", domain=d) for i, d in enumerate(domains)]
-        return RequestTrace(requests=requests)
+        return [TraceRequest(timestamp=float(i), user_id="u", domain=d) for i, d in enumerate(domains)]
 
     def test_every_switch_pays_establishment(self):
         baseline = NoCacheBaseline(EstablishmentCostModel(fetch_seconds=2.0), resident_slots=1)

@@ -5,8 +5,8 @@ Three layers of evidence:
 * experiment level — ``jobs=1`` and ``jobs=4`` produce identical
   :class:`~repro.metrics.reporting.ResultTable` rows for E7 and E9, and
   identical trained-codec metrics for E2;
-* trace level — a columnar :class:`~repro.workloads.traces.RequestTrace`
-  replays event-for-event identically to the equivalent object-based trace;
+* trace level — a :class:`~repro.workloads.traces.RequestTrace` replays
+  event-for-event identically to submitting its requests one by one;
 * codec level — the batched ``SemanticCodec.evaluate`` fast path matches the
   historical sentence-at-a-time loop exactly.
 """
@@ -70,9 +70,9 @@ class TestColumnarReplayEquivalence:
         )
         return domains, simulator
 
-    def test_columnar_replay_matches_object_replay(self):
+    def test_columnar_replay_matches_submitted_arrivals(self):
+        """The block-fed replay equals heap-scheduled arrivals via submit()."""
         from repro.workloads.generator import ArrivalTraceGenerator
-        from repro.workloads.traces import RequestTrace
 
         domains, columnar_sim = self._components()
         _, object_sim = self._components()
@@ -80,11 +80,11 @@ class TestColumnarReplayEquivalence:
             domains, num_users=60, profile="diurnal", rate=800.0, peak_rate=2400.0, seed=3
         )
         trace = generator.generate(5000)
-        assert trace.is_columnar
-        object_trace = RequestTrace(requests=list(trace))
 
         columnar_report = columnar_sim.replay(trace)
-        object_report = object_sim.replay(object_trace)
+        for request in trace:
+            object_sim.submit(request.timestamp, request.user_id, request.domain)
+        object_report = object_sim.run()
 
         # Reports agree field-for-field (wall clock aside).
         for field in (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -145,6 +147,36 @@ class TestFactories:
                 shards=2,
                 sharded_config=ShardedConfig(num_shards=2),
             )
+
+
+def input_backend(name):
+    """A backend for the input tests: sharded on the inline driver, kernel unchecked."""
+    options = {
+        "serial": {},
+        "sharded": {"sharded_config": ShardedConfig(num_shards=2, driver="inline")},
+        "vectorized": {"cross_check": False},
+    }[name]
+    return create_backend(name, cell_configs(), default_catalogue(DOMAINS, seed=0), seed=0, **options)
+
+
+class TestReplayInput:
+    """Every backend replays a RequestTrace and rejects anything else up front."""
+
+    @pytest.mark.parametrize("form", ["list", "generator"])
+    @pytest.mark.parametrize("name", ["serial", "sharded", "vectorized"])
+    def test_trace_request_objects_raise_type_error_and_leave_it_fresh(self, name, form):
+        trace = ArrivalTraceGenerator(DOMAINS, num_users=40, rate=500.0, seed=3).generate(400)
+        backend = input_backend(name)
+        objects = list(trace) if form == "list" else (request for request in trace)
+        with pytest.raises(TypeError, match=r"RequestTrace\.from_columns"):
+            backend.replay(objects)
+        # Nothing ran and nothing was drawn: the rejected backend replays the
+        # trace exactly like a fresh one (the kernel only runs on fresh state).
+        report = backend.replay(trace)
+        fresh = input_backend(name).replay(trace)
+        assert replace(report, wall_clock_s=0.0) == replace(fresh, wall_clock_s=0.0)
+        if name == "vectorized":
+            assert backend.fallback_reason is None
 
 
 class TestProtocolConformance:

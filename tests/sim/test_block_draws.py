@@ -315,13 +315,22 @@ def generator_replay(backend, trace, hook=None):
     return generator, simulator
 
 
+def replay_or_submit(simulator, trace, columnar):
+    """Replay the columnar trace, or submit its requests one by one and run()."""
+    if columnar:
+        return simulator.replay(trace)
+    for request in trace:
+        simulator.submit(request.timestamp, request.user_id, request.domain)
+    return simulator.run()
+
+
 @pytest.mark.parametrize(
     "backend, columnar", [("serial", True), ("serial", False), ("vectorized", True)]
 )
 def test_generator_seed_sits_at_scalar_position_after_replay(backend, columnar):
     trace = ArrivalTraceGenerator(DOMAINS, num_users=40, rate=500.0, seed=3).generate(2000)
     generator, simulator = generator_replay(backend, trace)
-    simulator.replay(trace if columnar else list(trace))
+    replay_or_submit(simulator, trace, columnar)
     users = [request.user_id for request in trace]
     assert generator.bit_generator.state == scalar_position(7, users, 3, 0.02)
 
@@ -339,8 +348,11 @@ def test_generator_seed_sits_at_scalar_position_after_a_raising_replay(columnar)
 
     generator, simulator = generator_replay("serial", trace, hook)
     with pytest.raises(RuntimeError, match="observer failed"):
-        simulator.replay(trace if columnar else list(trace))
-    delivered = len(trace) - len(simulator._arrival_stream)
+        replay_or_submit(simulator, trace, columnar)
+    if columnar:
+        _, delivered = simulator._tail
+    else:
+        delivered = sum(1 for request in simulator.requests if request.cell)
     assert 700 <= delivered < len(trace)
     users = [request.user_id for request in trace][:delivered]
     assert generator.bit_generator.state == scalar_position(7, users, 3, 0.02)

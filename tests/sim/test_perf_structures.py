@@ -3,6 +3,8 @@ and the bounded-reservoir latency recorder."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 from repro.exceptions import SimulationError
 from repro.sim import LatencyRecorder, Simulation
 from repro.sim.multicell import CellConfig, default_catalogue
+from repro.sim.placement import PlacementSpec
 from repro.sim.simulator import MultiCellSimulator
 from repro.workloads.generator import ArrivalTraceGenerator
+from repro.workloads.traces import RequestTrace
 
 
 class TestPendingCounter:
@@ -121,7 +125,7 @@ class TestRunStream:
 
             times = sorted(delays)
             if use_stream:
-                simulation.run_stream(times, arrival)
+                simulation.run_stream_window(times, arrival)
             else:
                 for index, time in enumerate(times):
                     simulation.schedule_at(time, lambda s, i=index: arrival(s, i))
@@ -133,26 +137,21 @@ class TestRunStream:
         assert stream_log == eager_log
         assert stream_count == eager_count
 
-    def test_rejects_unsorted_times(self):
-        simulation = Simulation()
-        with pytest.raises(SimulationError):
-            simulation.run_stream([2.0, 1.0], lambda s, i: None)
-
     def test_rejects_stream_before_now(self):
         simulation = Simulation()
         simulation.schedule(5.0, lambda s: None)
         simulation.run()
         with pytest.raises(SimulationError):
-            simulation.run_stream([1.0], lambda s, i: None)
+            simulation.run_stream_window([1.0], lambda s, i: None)
 
     def test_tie_with_preexisting_event_runs_event_first(self):
-        # An event scheduled before run_stream holds an earlier sequence
+        # An event scheduled before the stream run holds an earlier sequence
         # number, so on an exact timestamp tie it must run before the stream
         # item — exactly as eager scheduling would order them.
         simulation = Simulation()
         order = []
         simulation.schedule(1.0, lambda s: order.append("pre-scheduled"))
-        simulation.run_stream([1.0], lambda s, i: order.append("stream"))
+        simulation.run_stream_window([1.0], lambda s, i: order.append("stream"))
         assert order == ["pre-scheduled", "stream"]
 
     def test_tie_with_event_scheduled_during_run_runs_stream_first(self):
@@ -166,12 +165,12 @@ class TestRunStream:
             if index == 0:
                 sim.post(1.0, lambda s: order.append("posted"), sim)  # fires at t=2.0
 
-        simulation.run_stream([1.0, 2.0], arrival)
+        simulation.run_stream_window([1.0, 2.0], arrival)
         assert order == ["stream-0", "stream-1", "posted"]
 
     def test_stream_items_recorded_when_tracing(self):
         simulation = Simulation(trace=True)
-        simulation.run_stream([1.0, 2.0], lambda s, i: None)
+        simulation.run_stream_window([1.0, 2.0], lambda s, i: None)
         assert [record.label for record in simulation.processed] == ["arrival", "arrival"]
         assert simulation.events_processed == 2
 
@@ -184,7 +183,7 @@ _GRID = 0.25
 
 
 class TestRunStreamWindow:
-    """``run_stream_window`` chained over cut points vs one ``run_stream``
+    """``run_stream_window`` chained over cut points vs one whole-stream
     call vs eager ``schedule_at``: same event log, clock and count."""
 
     @staticmethod
@@ -229,7 +228,7 @@ class TestRunStreamWindow:
                 simulation.schedule_at(time, lambda s, i=index: arrival(s, i))
             simulation.run()
         elif mode == "stream":
-            simulation.run_stream(times, arrival)
+            simulation.run_stream_window(times, arrival)
         else:
             boundary = simulation._sequence  # pinned across every window
             next_index = 0
@@ -309,7 +308,7 @@ class TestRunStreamWindow:
     def test_pinned_boundary_keeps_tie_order_across_windows(self):
         # An event posted in the first window ties with an arrival handled in
         # the second.  With the boundary pinned before the first window, the
-        # arrival still wins the tie, as in one run_stream call.
+        # arrival still wins the tie, as in one whole-stream call.
         def run(pin: bool):
             simulation = Simulation()
             order = []
@@ -338,14 +337,23 @@ class TestReplayPaths:
         cells = [CellConfig(name="cell_0"), CellConfig(name="cell_1")]
         return MultiCellSimulator(cells, default_catalogue(domains, seed=0), seed=0)
 
-    def _trace(self):
+    def _trace(self, shuffled: bool = False):
         generator = ArrivalTraceGenerator(
             ["d0", "d1"], num_users=20, profile="poisson", rate=200.0, period_s=1.0, seed=0
         )
-        return generator.generate(300)
+        trace = generator.generate(300)
+        if not shuffled:
+            return trace
+        rows = np.random.default_rng(1).permutation(len(trace))
+        return RequestTrace.from_columns(
+            trace.timestamps[rows],
+            trace.user_indices[rows],
+            trace.domain_indices[rows],
+            trace.domain_names,
+        )
 
-    def test_mid_run_exception_preserves_undelivered_arrivals(self):
-        """A crash mid-replay must not silently drop the arrival tail."""
+    def _interrupted(self, shuffled: bool = False) -> MultiCellSimulator:
+        """A simulator whose replay raised at t = 0.5 s, tail pending."""
         simulator = self._simulator()
 
         def boom(sim):
@@ -353,11 +361,96 @@ class TestReplayPaths:
 
         simulator.engine.schedule(0.5, boom)
         with pytest.raises(RuntimeError, match="injected failure"):
+            simulator.replay(self._trace(shuffled))
+        return simulator
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_resumed_replay_equals_an_uninterrupted_one(self, shuffled):
+        """A crash mid-replay keeps the undelivered arrivals; run() resumes
+        them, retained, as if the replay never stopped."""
+        simulator = self._interrupted(shuffled)
+        _, delivered = simulator._tail
+        assert 0 < delivered < 300
+        resumed = simulator.run()
+        assert simulator._tail is None
+        assert resumed.completed == 300
+        reference = self._simulator()
+        reference.engine.schedule(0.5, lambda sim: None)
+        uninterrupted = reference.replay(self._trace(shuffled))
+
+        assert len(simulator.requests) == 300
+        assert [request.request_id for request in simulator.requests] == [
+            request.request_id for request in reference.requests
+        ]
+        for request, twin in zip(simulator.requests, reference.requests):
+            for slot in request.__slots__:
+                assert getattr(request, slot) == getattr(twin, slot), (request.request_id, slot)
+        # The raising event is the only one not counted.
+        assert resumed.events_processed == uninterrupted.events_processed - 1
+        assert replace(resumed, wall_clock_s=0.0, events_processed=0) == replace(
+            uninterrupted, wall_clock_s=0.0, events_processed=0
+        )
+
+    def test_resume_keeps_the_replay_tie_order(self):
+        """An event posted mid-replay still runs after a tail arrival at its exact time."""
+        trace = self._trace()
+        tie = float(trace.timestamps[250])  # an arrival after the failure at 0.5 s
+
+        def run(interrupt: bool) -> list:
+            simulator = self._simulator()
+            seen = []
+
+            def at_tie():
+                seen.append(len(simulator.requests))
+
+            def boom(sim):
+                if interrupt:
+                    raise RuntimeError("injected failure")
+
+            simulator.engine.schedule(0.5, boom)
+            # Posted at t = 0 from inside the replay, so it ties with arrival
+            # 250 as an event scheduled during the run: the arrival goes first.
+            simulator.engine.schedule(0.0, lambda sim: sim.post(tie, at_tie))
+            if interrupt:
+                with pytest.raises(RuntimeError, match="injected failure"):
+                    simulator.replay(trace)
+                simulator.run()
+            else:
+                simulator.replay(trace)
+            return seen
+
+        assert run(interrupt=False) == [251]
+        assert run(interrupt=True) == [251]
+
+    def test_replay_while_a_tail_is_pending_raises(self):
+        simulator = self._interrupted()
+        issued = simulator._request_counter
+        with pytest.raises(SimulationError, match=r"call run\(\)"):
             simulator.replay(self._trace())
-        # The undelivered arrivals survived; a retry finishes the replay.
-        assert len(simulator._arrival_stream) > 0
-        report = simulator.run()
-        assert report.completed == 300
+        assert simulator._request_counter == issued
+        assert simulator.run().completed == 300
+
+    @pytest.mark.parametrize(
+        "placement",
+        [None, PlacementSpec(policy="max-flow", prewarm=True)],
+        ids=["no-placement", "prewarmed-max-flow"],
+    )
+    def test_trace_starting_before_the_clock_is_rejected_up_front(self, placement):
+        simulator = self._simulator()
+        simulator.configure_placement(placement)
+        # The clock passes the trace's start with no arrival, so placement
+        # has not been prepared from any trace yet.
+        simulator.engine.schedule(5.0, lambda sim: None)
+        simulator.run()
+        with pytest.raises(SimulationError, match="before current time"):
+            simulator.replay(self._trace())
+        assert simulator._tail is None
+        assert simulator._request_counter == 0
+        assert simulator.engine.pending() == 0
+        if placement is not None:
+            # No plan solved and no cache prewarmed from a trace that never ran.
+            assert not simulator._placement.prepared
+            assert simulator._placement.prewarmed_models == 0
 
 
 class TestLatencyReservoir:

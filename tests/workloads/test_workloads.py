@@ -154,7 +154,6 @@ class TestTraces:
 class TestColumnarTrace:
     def test_generated_traces_are_columnar(self):
         trace = ZipfTraceGenerator(["a", "b", "c"], num_users=4, seed=0).generate(50)
-        assert trace.is_columnar
         assert trace.timestamps.dtype == np.float64
         assert len(trace.timestamps) == len(trace.user_indices) == len(trace.domain_indices) == 50
         assert trace.domain_names == ("a", "b", "c")
@@ -168,35 +167,30 @@ class TestColumnarTrace:
             assert request.user_id == f"user_{int(trace.user_indices[index])}"
             assert request.domain == trace.domain_names[int(trace.domain_indices[index])]
 
-    def test_requests_property_materializes_and_caches(self):
-        trace = ZipfTraceGenerator(["a", "b"], num_users=3, seed=2).generate(10)
-        first = trace.requests
-        assert first is trace.requests  # cached
-        assert [r.domain for r in first] == trace.domains()
-
     def test_summaries_match_object_form(self):
-        from repro.workloads.traces import RequestTrace
-
         trace = ZipfTraceGenerator(["a", "b", "c"], num_users=5, seed=3).generate(300)
-        object_trace = RequestTrace(requests=list(trace))
-        assert trace.domain_counts() == object_trace.domain_counts()
-        assert trace.users() == object_trace.users()
-        assert trace.domains() == object_trace.domains()
-
-    def test_object_mode_has_no_columns(self):
-        from repro.workloads.traces import RequestTrace, TraceRequest
-
-        trace = RequestTrace(requests=[TraceRequest(0.0, "user_0", "a")])
-        assert not trace.is_columnar
-        with pytest.raises(ValueError):
-            _ = trace.timestamps
-        assert trace.domain_counts() == {"a": 1}
+        requests = list(trace)
+        counts: dict = {}
+        for request in requests:
+            counts[request.domain] = counts.get(request.domain, 0) + 1
+        assert trace.domain_counts() == counts
+        assert list(trace.domain_counts()) == list(counts)  # first-seen order
+        assert trace.users() == list(dict.fromkeys(request.user_id for request in requests))
+        assert trace.domains() == [request.domain for request in requests]
 
     def test_from_columns_validates_lengths(self):
         from repro.workloads.traces import RequestTrace
 
         with pytest.raises(ValueError):
             RequestTrace.from_columns(np.zeros(3), np.zeros(2, dtype=int), np.zeros(3, dtype=int), ["a"])
+
+    def test_constructor_takes_trace_columns_only(self):
+        from repro.workloads.traces import RequestTrace, TraceRequest
+
+        with pytest.raises(ValueError, match="dtype"):
+            RequestTrace(np.zeros(3), ["a"])
+        with pytest.raises(TypeError):
+            RequestTrace(requests=[TraceRequest(0.0, "user_0", "a")])
 
     def test_empty_columnar_trace(self):
         from repro.workloads.traces import RequestTrace
@@ -214,7 +208,7 @@ class TestColumnarTrace:
 
         trace = ZipfTraceGenerator(["a", "b"], num_users=3, seed=4).generate(1000)
         clone = pickle.loads(pickle.dumps(trace))
-        assert clone.is_columnar and len(clone) == 1000
+        assert len(clone) == 1000
         assert np.array_equal(clone.timestamps, trace.timestamps)
         assert clone.domain_counts() == trace.domain_counts()
 
